@@ -6,8 +6,7 @@ constraint row: the grid-completion rows G0..G3, the clue-fixing rows F1,
 the alternate-forcing row N1, the leader validity row V1, and one coverage
 row U_k per supplied cut. The companion .aux file annotates which variables
 and rows belong to the follower and states the follower objective, which is
-the piece any bilevel solver needs on top of the plain LP. Formats are
-documented in docs/formats.md.
+the piece any bilevel solver needs on top of the plain LP.
 """
 from __future__ import annotations
 

@@ -1,11 +1,16 @@
 """Exact minimum-cardinality hitting set by depth-first branch and bound.
 
-Branching follows the lowest-index set not yet hit, trying its cells in
-canonical order; earlier siblings are banned in later branches so the tree
-partitions the solution space. The bound is a greedy packing of pairwise
-disjoint unhit sets. Deterministic: value ties resolve to the set whose
-sorted cell tuple is lexicographically smallest (after the root dominance
-reduction). Elements may be Cells or any other orderable hashables.
+Each node branches on the unhit family member with the fewest live cells
+(cells not banned at that node; the lowest index wins ties), trying those
+cells in canonical order; earlier siblings are banned in later branches so
+the tree partitions the solution space. The bound is a greedy packing of
+pairwise disjoint unhit sets. Once an incumbent exists, a node is cut as
+soon as its bound cannot beat it, so the search never revisits an
+incumbent's value: ties resolve to the first optimum in search order, which
+is deterministic but not the lexicographically smallest. Search stops early
+at the first solution whose value meets the root packing bound or the
+caller's `lower_hint`. Elements may be Cells or any other orderable
+hashables.
 """
 from __future__ import annotations
 
@@ -102,13 +107,26 @@ def min_hitting_set(
     upper_hint: Optional[int] = None,
     budget: Optional[SearchBudget] = None,
     stats: Optional[SearchStats] = None,
+    lower_hint: int = 0,
 ) -> HittingSolution:
     """Minimum-cardinality set meeting every family member.
 
-    `upper_hint`, when given, must be a correct upper bound on the optimum;
-    branches that cannot beat it are cut while equal-value solutions remain
-    reachable. A budget interrupt returns the best incumbent (not flagged
-    optimal) together with a still-sound lower bound over the open nodes.
+    `upper_hint`, when given, must be a correct upper bound on the optimum:
+    branches whose bound exceeds it are cut, while a solution of exactly
+    that value stays reachable and is returned as the witness. A hint below
+    the optimum raises ValueError.
+
+    `lower_hint` must be a correct lower bound on the optimum, for example
+    the optimum of a subfamily of this family. The search returns the first
+    solution whose value is at most `lower_hint` as proven optimal without
+    exploring further. A hint above the optimum therefore gives a wrong
+    answer flagged optimal. Both hints are promises the search relies on
+    without checking them; a too-low `upper_hint` at least shows up as the
+    ValueError above, while a too-high `lower_hint` cannot be detected.
+
+    Among equal-value optima the first one in search order is returned.
+    A budget interrupt returns the best incumbent (not flagged optimal)
+    together with a still-sound lower bound over the open nodes.
     """
     t0 = perf_counter()
     residual = _preprocess(instance)
@@ -150,9 +168,13 @@ def min_hitting_set(
     pack_order = sorted(masks, key=lambda m: m.bit_count())
 
     ticker = _Ticker(budget)
-    best_mask: Optional[int] = None
-    best_value = len(kept) + 1 if upper_hint is None else upper_hint
     offset = len(base)
+    best_mask: Optional[int] = None
+    # before an incumbent exists, a node is cut when its bound exceeds
+    # best_value; afterwards, when its bound merely reaches it
+    best_value = len(kept) + 1 if upper_hint is None else upper_hint - offset
+    # any solution this small is optimal: stop at the first one found
+    good_enough = max(lower_hint - offset, _pack(pack_order, 0))
 
     # frame: (chosen_mask, chosen_count, banned_mask)
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
@@ -166,27 +188,31 @@ def min_hitting_set(
             interrupted = True
             break
         chosen, count, banned = frame
-        target = -1
-        for k, mask in enumerate(masks):
-            if not mask & chosen:
-                target = k
-                break
-        if target == -1:
-            if count < best_value or (count == best_value and best_mask is None):
+        target_live = 0
+        fewest = -1
+        for mask in masks:
+            if mask & chosen:
+                continue
+            live = mask & ~banned
+            width = live.bit_count()
+            if fewest < 0 or width < fewest:
+                target_live, fewest = live, width
+                if not width:
+                    break
+        if fewest < 0:
+            if best_mask is None or count < best_value:
                 best_mask, best_value = chosen, count
-            elif count == best_value and chosen != best_mask:
-                low = (chosen ^ best_mask) & -(chosen ^ best_mask)
-                if chosen & low:
-                    best_mask = chosen
+                if count <= good_enough:
+                    break
+            continue
+        if not target_live:
             continue
         bound = count + _pack(pack_order, chosen)
-        if bound > best_value:
-            continue
-        live = masks[target] & ~banned
-        if not live:
+        if bound > best_value or (best_mask is not None and bound == best_value):
             continue
         children = []
         taken_before = 0
+        live = target_live
         while live:
             bit = live & -live
             live ^= bit

@@ -26,7 +26,7 @@ from .engine import (
     find_deviating_grid,
 )
 from .grid import Cell, CluePattern, Grid, apply_pattern
-from .hitting import HittingInstance, min_hitting_set
+from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
 from .unavoidable import (
     FingerprintMismatchError,
     GenerationLimits,
@@ -157,14 +157,27 @@ class _LoopOutcome:
     nodes: int
 
 
-def _shrink(diff: frozenset, still_unavoidable: Callable[[frozenset], bool]) -> frozenset:
-    """Deletion-based minimization, dropping canonically later keys first."""
-    keep = set(diff)
-    for key in sorted(keep, reverse=True):
-        trial = keep - {key}
-        if trial and still_unavoidable(frozenset(trial)):
-            keep = trial
-    return frozenset(keep)
+def _shrink(
+    diff: frozenset, alternate_diff: Callable[[frozenset], Optional[frozenset]]
+) -> frozenset:
+    """Deletion-based minimization of an unavoidable set that follows its
+    witnesses, trying canonically later keys first.
+
+    `alternate_diff(trial)` returns the diff of some alternate whose changes
+    all lie inside `trial`, or None when there is none. When dropping a key
+    still admits an alternate, its diff (a subset of the trial) becomes the
+    new set, which can drop several keys for one call. The result stays
+    minimal by monotonicity: a key found necessary for some set is
+    necessary for every subset of it that still contains the key.
+    """
+    keep = diff
+    for key in sorted(diff, reverse=True):
+        if key not in keep or len(keep) == 1:
+            continue
+        witness = alternate_diff(keep - {key})
+        if witness is not None:
+            keep = witness
+    return keep
 
 
 def _ihs_loop(
@@ -185,7 +198,8 @@ def _ihs_loop(
     cuts: list[frozenset] = list(seeds)
     incumbent = universe_set
     upper = len(incumbent)
-    lower = 0
+    # sound before any exact solve, so a loop stopped early still reports it
+    lower = disjoint_packing_bound(HittingInstance.build(universe, cuts))
     solved_once = False
     trace: list[TraceEntry] = []
     iteration = 0
@@ -217,6 +231,7 @@ def _ihs_loop(
                 upper_hint=upper,
                 budget=budget.call_budget(),
                 stats=stats,
+                lower_hint=lower,
             )
             budget.charge(stats)
             if not solution.proven_optimal:
@@ -251,9 +266,7 @@ def _ihs_loop(
                 status = MscpStatus.OPTIMAL
                 note(iteration)
                 break
-            cut = _shrink(
-                diff, lambda trial: find_diff(universe_set - trial, budget) is not None
-            )
+            cut = _shrink(diff, lambda trial: find_diff(universe_set - trial, budget))
             if not cut or cut & candidate:
                 raise MscpInternalError("cut does not separate the hitting set")
             for existing in cuts:

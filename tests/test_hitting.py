@@ -125,6 +125,59 @@ class TestUpperHint:
             min_hitting_set(HittingInstance.build(range(2), fam), upper_hint=1)
 
 
+def random_family(rng, universe_size=16, max_members=20):
+    uni = sorted(rng.sample(range(universe_size), rng.randint(3, universe_size)))
+    fam = [
+        frozenset(rng.sample(uni, rng.randint(1, min(5, len(uni)))))
+        for _ in range(rng.randint(1, max_members))
+    ]
+    return uni, fam
+
+
+class TestHints:
+    """lower_hint lets the search stop at the first solution that meets it;
+    with any correct hints the answer is still an exact optimum."""
+
+    @staticmethod
+    def check_optimal(sol, fam, want):
+        assert sol.proven_optimal and sol.lower_bound == sol.value == want
+        assert all(sol.cells & member for member in fam)
+
+    def test_lower_hints_match_brute_force(self):
+        rng = random.Random(2305)
+        for _ in range(150):
+            uni, fam = random_family(rng)
+            inst = HittingInstance.build(uni, fam)
+            want = brute_value(uni, fam)
+            for hint in (0, rng.randint(0, want - 1), want):
+                self.check_optimal(min_hitting_set(inst, lower_hint=hint), fam, want)
+
+    def test_both_hints_at_the_optimum_still_return_a_witness(self):
+        rng = random.Random(1697)
+        for _ in range(100):
+            uni, fam = random_family(rng)
+            inst = HittingInstance.build(uni, fam)
+            want = brute_value(uni, fam)
+            self.check_optimal(min_hitting_set(inst, upper_hint=want), fam, want)
+            self.check_optimal(
+                min_hitting_set(inst, upper_hint=want, lower_hint=want), fam, want
+            )
+
+    def test_interrupt_with_lower_hint_is_sound(self):
+        rng = random.Random(77)
+        uni = list(range(24))
+        for _ in range(20):
+            fam = [frozenset(rng.sample(uni, 4)) for _ in range(40)]
+            inst = HittingInstance.build(uni, fam)
+            want = min_hitting_set(inst).value
+            for hint in (0, want - 1):
+                cut = min_hitting_set(
+                    inst, budget=SearchBudget(max_nodes=15), lower_hint=hint
+                )
+                assert cut.lower_bound <= want <= cut.value
+                assert all(cut.cells & member for member in fam)
+
+
 class TestInterrupt:
     def test_interrupted_is_sound(self):
         rng = random.Random(9)

@@ -69,15 +69,28 @@ class TestSolveMscp4x4:
         assert sizes == sorted(sizes)
 
     def test_certificate_sets_are_minimal(self, grid4_objects, oracle_minimal_sets):
-        idx = 77
+        # a spread of grids, so that witness-following shrinking meets many
+        # shapes of alternate diffs
         solver_mod.VERIFY_CUT_MINIMALITY = True
         try:
-            result = solve_mscp(grid4_objects[idx], MscpConfig(initial_cuts=0))
+            for idx in sorted({77, *range(0, 288, 29)}):
+                result = solve_mscp(grid4_objects[idx], MscpConfig(initial_cuts=0))
+                allowed = set(oracle_minimal_sets[idx])
+                got = {s.as_frozenset() for s in result.certificate.sets}
+                assert got <= allowed, idx
         finally:
             solver_mod.VERIFY_CUT_MINIMALITY = False
-        allowed = set(oracle_minimal_sets[idx])
-        got = {s.as_frozenset() for s in result.certificate.sets}
-        assert got <= allowed
+
+    def test_rerun_is_identical(self, grid4_objects):
+        def run():
+            result = solve_mscp(grid4_objects[200], MscpConfig(initial_cuts=0))
+            trace = [
+                (t.iteration, t.lower, t.upper, t.certificate_size)
+                for t in result.trace
+            ]
+            return trace, [s.as_frozenset() for s in result.certificate.sets]
+
+        assert run() == run()
 
     def test_certificate_lower_bound_property(self, grids4, grid4_objects):
         # every pattern valid for the grid hits all certificate members
@@ -124,6 +137,26 @@ class TestBudgetedSolve:
         assert result.best_pattern.cardinality() == result.upper_bound
         lowers = [t.lower for t in result.trace]
         assert lowers == sorted(lowers)
+
+
+    def test_generator_spending_the_budget_keeps_seed_lower_bound(self, figure_grid):
+        # the generator alone uses up the node budget, so the loop never
+        # solves a hitting set; the seed cuts still bound the optimum
+        cfg = MscpConfig(
+            initial_cuts=4,
+            generation_limits=GenerationLimits(max_sets=4, max_size=4),
+            solve_budget=SearchBudget(max_nodes=1000),
+        )
+        result = solve_mscp(figure_grid, cfg)
+        assert result.status is MscpStatus.INTERRUPTED
+        assert len(result.certificate) == 4
+        assert 0 < result.lower_bound <= 17 <= result.upper_bound
+
+    def test_figure_grid_node_budget_reaches_lower_9(self, figure_grid):
+        cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000))
+        result = solve_mscp(figure_grid, cfg)
+        assert 9 <= result.lower_bound <= 17 <= result.upper_bound
+        assert verify_validity(figure_grid, result.best_pattern)
 
 
 class TestFcp:
