@@ -22,9 +22,6 @@ from .export import (
     EmptyCollectionError,
     export_bilevel,
     export_cuts,
-    follower_has_alternate,
-    grid_from_model,
-    parse_model,
 )
 from .grid import (
     Cell,
@@ -59,7 +56,6 @@ from .solver import (
     fcp_solve,
     latin_square_fcp_instance,
     solve_mscp,
-    sudoku_fcp_instance,
     verify_validity,
 )
 from .unavoidable import (

@@ -8,6 +8,7 @@ wall-clock time) and surface as SearchInterrupted, never as a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from time import perf_counter
 from typing import Iterator, Optional, Sequence
 
@@ -22,6 +23,7 @@ __all__ = [
     "solve_puzzle",
     "iter_solutions",
     "find_alternate",
+    "latin_alternate",
     "find_deviating_grid",
 ]
 
@@ -75,7 +77,11 @@ class _Ticker:
 
 
 class _Geometry:
-    """Per-size index tables, cached by side length."""
+    """Index tables for side n and box side s, cached by (n, s).
+
+    s = 0 means no boxes (Latin squares): the box family repeats the rows,
+    so it adds no constraint.
+    """
 
     __slots__ = (
         "n",
@@ -90,7 +96,7 @@ class _Geometry:
         "box_cells",
     )
 
-    _cache: dict[int, "_Geometry"] = {}
+    _cache: dict[tuple[int, int], "_Geometry"] = {}
 
     def __init__(self, n: int, s: int):
         self.n = n
@@ -100,7 +106,8 @@ class _Geometry:
         self.row_of = [i // n for i in range(self.cells)]
         self.col_of = [i % n for i in range(self.cells)]
         self.box_of = [
-            (self.row_of[i] // s) * s + self.col_of[i] // s for i in range(self.cells)
+            (self.row_of[i] // s) * s + self.col_of[i] // s if s else self.row_of[i]
+            for i in range(self.cells)
         ]
         self.row_cells = [[] for _ in range(n)]
         self.col_cells = [[] for _ in range(n)]
@@ -111,11 +118,11 @@ class _Geometry:
             self.box_cells[self.box_of[i]].append(i)
 
     @classmethod
-    def get(cls, size) -> "_Geometry":
-        geo = cls._cache.get(size.n)
+    def get(cls, n: int, s: int) -> "_Geometry":
+        geo = cls._cache.get((n, s))
         if geo is None:
-            geo = cls(size.n, size.s)
-            cls._cache[size.n] = geo
+            geo = cls(n, s)
+            cls._cache[(n, s)] = geo
         return geo
 
 
@@ -290,7 +297,7 @@ def count_solutions(
         raise ValueError("limit must be positive")
     t0 = perf_counter()
     ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size), puzzle.entries)
+    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
     try:
         return _search_completions(state, ticker, limit, None, None)
     finally:
@@ -343,7 +350,7 @@ def iter_solutions(
 
     t0 = perf_counter()
     ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size), puzzle.entries)
+    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
     try:
         for values in generate(state, ticker):
             yield Grid(puzzle.size, values)
@@ -359,7 +366,7 @@ def solve_puzzle(
     """First completion in search order, or None when unsatisfiable."""
     t0 = perf_counter()
     ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size), puzzle.entries)
+    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
     out: list[tuple[int, ...]] = []
     try:
         found = _search_completions(state, ticker, 1, None, out)
@@ -381,13 +388,26 @@ def find_alternate(
     puzzle = apply_pattern(grid, pattern)
     t0 = perf_counter()
     ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size), puzzle.entries)
+    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
     out: list[tuple[int, ...]] = []
     try:
         found = _search_completions(state, ticker, 1, grid.entries, out)
     finally:
         _finish(stats, ticker, t0)
     return Grid(grid.size, out[0]) if found else None
+
+
+def latin_alternate(
+    target: Sequence[int], revealed: frozenset
+) -> Optional[tuple[int, ...]]:
+    """A Latin square other than `target` (row major, symbols 1..n) that
+    agrees with it on every revealed index, or None when there is none."""
+    n = isqrt(len(target))
+    entries = [v if i in revealed else 0 for i, v in enumerate(target)]
+    state = _State(_Geometry.get(n, 0), entries)
+    out: list[tuple[int, ...]] = []
+    found = _search_completions(state, _Ticker(None), 1, tuple(target), out)
+    return out[0] if found else None
 
 
 @dataclass(frozen=True)
@@ -423,7 +443,7 @@ class _DeviationSearch:
 
     def __init__(self, constraint: DeviationConstraint, ticker: _Ticker):
         grid = constraint.target
-        geo = _Geometry.get(grid.size)
+        geo = _Geometry.get(grid.size.n, grid.size.s)
         n = geo.n
         self.geo = geo
         self.m = constraint.exact_deviations

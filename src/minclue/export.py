@@ -1,4 +1,4 @@
-"""Bilevel model files for external solvers, plus a re-parser.
+"""Bilevel model files for external solvers.
 
 The model file is a single integer program in LP text format holding the
 leader objective (minimize the number of revealed cells) and every
@@ -10,29 +10,22 @@ the piece any bilevel solver needs on top of the plain LP.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import SearchBudget, find_alternate
-from .grid import Cell, CluePattern, Grid, GridSize
+from .grid import Grid
 from .unavoidable import UnavoidableCollection
 
 __all__ = [
     "BilevelModelFiles",
     "LpRow",
-    "LpModel",
     "EmptyCollectionError",
     "ModelFormatError",
     "variable_name",
     "decode_variable",
     "export_bilevel",
     "export_cuts",
-    "parse_model",
-    "model_signature",
-    "grid_from_model",
-    "follower_has_alternate",
 ]
 
 
@@ -59,13 +52,6 @@ class LpRow:
     terms: tuple[tuple[str, int], ...]
     sense: str  # '=', '<=', '>='
     rhs: int
-
-
-@dataclass(frozen=True)
-class LpModel:
-    objective: tuple[tuple[str, int], ...]
-    rows: tuple[LpRow, ...]
-    binaries: frozenset[str]
 
 
 def _width(n: int) -> int:
@@ -297,157 +283,3 @@ def export_cuts(cuts: UnavoidableCollection, path) -> Path:
         lines.append(f"U_{t}: {terms} >= 1")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path
-
-
-_NAME_SPLIT = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*:")
-_SENSE = re.compile(r"(<=|>=|=)")
-
-
-def _parse_terms(text: str) -> tuple[tuple[str, int], ...]:
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
-    terms: list[tuple[str, int]] = []
-    sign = 1
-    coeff: Optional[int] = None
-    for tok in tokens:
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        elif tok.isdigit():
-            coeff = int(tok)
-        else:
-            value = sign * (coeff if coeff is not None else 1)
-            terms.append((tok, value))
-            sign = 1
-            coeff = None
-    if coeff is not None:
-        raise ModelFormatError(f"dangling coefficient in {text!r}")
-    return tuple(terms)
-
-
-def parse_model(path) -> LpModel:
-    """Re-parse an exported LP file into its constraint system."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("\\", 1)[0]
-        if body.strip():
-            lines.append(body)
-    joined = "\n".join(lines)
-
-    def section(start: str, enders: list[str]) -> str:
-        m = re.search(rf"^\s*{start}\b", joined, re.IGNORECASE | re.MULTILINE)
-        if not m:
-            raise ModelFormatError(f"missing section {start!r}")
-        rest = joined[m.end():]
-        end = len(rest)
-        for ender in enders:
-            m2 = re.search(rf"^\s*{ender}\b", rest, re.IGNORECASE | re.MULTILINE)
-            if m2:
-                end = min(end, m2.start())
-        return rest[:end]
-
-    obj_block = section("Minimize", ["Subject To"])
-    sub_block = section("Subject To", ["Binary", "Bounds", "General", "End"])
-    bin_block = section("Binary", ["End"])
-
-    parts = _NAME_SPLIT.split(obj_block)
-    if len(parts) < 3:
-        raise ModelFormatError("objective row not found")
-    objective = _parse_terms(parts[2])
-
-    parts = _NAME_SPLIT.split(sub_block)
-    rows: list[LpRow] = []
-    it = iter(parts[1:])
-    for name, body in zip(it, it):
-        m = _SENSE.search(body)
-        if not m:
-            raise ModelFormatError(f"row {name!r} has no comparison")
-        terms = _parse_terms(body[: m.start()])
-        rhs_text = body[m.end():].strip()
-        try:
-            rhs = int(rhs_text)
-        except ValueError:
-            raise ModelFormatError(f"row {name!r} has non-integer rhs {rhs_text!r}")
-        rows.append(LpRow(name, terms, m.group(1), rhs))
-
-    binaries = frozenset(bin_block.split())
-    return LpModel(objective, tuple(rows), binaries)
-
-
-def model_signature(model: LpModel):
-    """Order-independent canonical form used for round-trip comparison."""
-    return (
-        tuple(sorted(model.objective)),
-        tuple(
-            sorted(
-                (row.name, tuple(sorted(row.terms)), row.sense, row.rhs)
-                for row in model.rows
-            )
-        ),
-        tuple(sorted(model.binaries)),
-    )
-
-
-def grid_from_model(model: LpModel) -> Grid:
-    """Rebuild the target grid from the clue-fixing rows of a parsed model.
-
-    Verifies the structural row counts so the follower system is known to be
-    the standard completion encoding before the engine stands in for it.
-    """
-    x_vars = [name for name in model.binaries if name.startswith("x")]
-    n = round(len(x_vars) ** (1 / 3))
-    if n**3 != len(x_vars):
-        raise ModelFormatError("x variable count is not a cube")
-    counts = {"G0": 0, "G1": 0, "G2": 0, "G3": 0, "F1": 0, "N1": 0, "V1": 0}
-    entries = {}
-    for row in model.rows:
-        family = row.name.split("_", 1)[0]
-        if family in counts:
-            counts[family] += 1
-        if family == "F1":
-            _, i, j = row.name.split("_")
-            x_terms = [t for t in row.terms if t[0].startswith("x")]
-            y_terms = [t for t in row.terms if t[0].startswith("y")]
-            if (
-                len(x_terms) != 1
-                or len(y_terms) != 1
-                or x_terms[0][1] != 1
-                or y_terms[0][1] != -1
-                or row.sense != ">="
-                or row.rhs != 0
-            ):
-                raise ModelFormatError(f"row {row.name} is not a clue-fixing row")
-            _, xi, xj, xk = decode_variable(x_terms[0][0])
-            if (xi, xj) != (int(i), int(j)):
-                raise ModelFormatError(f"row {row.name} fixes the wrong cell")
-            entries[(xi, xj)] = xk
-    expected = {
-        "G0": n * n,
-        "G1": n * n,
-        "G2": n * n,
-        "G3": n * n,
-        "F1": n * n,
-        "N1": 1,
-        "V1": 1,
-    }
-    if counts != expected:
-        raise ModelFormatError(f"unexpected row families: {counts}")
-    size = GridSize.of_side(n)
-    flat = [entries[(i, j)] for i in range(1, n + 1) for j in range(1, n + 1)]
-    return Grid(size, flat)
-
-
-def follower_has_alternate(
-    model: LpModel,
-    pattern: CluePattern,
-    budget: Optional[SearchBudget] = None,
-) -> bool:
-    """Feasibility of the follower system under a fixed reveal pattern.
-
-    The parsed rows are the standard completion encoding (checked by
-    grid_from_model), so the native engine decides feasibility of
-    { completions respecting the revealed cells } minus the target itself.
-    """
-    grid = grid_from_model(model)
-    return find_alternate(grid, pattern, budget) is not None

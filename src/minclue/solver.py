@@ -17,13 +17,12 @@ from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 from .engine import (
-    DeviationConstraint,
     SearchBudget,
     SearchInterrupted,
     SearchStats,
     count_solutions,
     find_alternate,
-    find_deviating_grid,
+    latin_alternate,
 )
 from .grid import Cell, CluePattern, Grid, apply_pattern
 from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
@@ -48,15 +47,10 @@ __all__ = [
     "FcpInstance",
     "FcpResult",
     "fcp_solve",
-    "sudoku_fcp_instance",
     "latin_square_fcp_instance",
 ]
 
 log = logging.getLogger("minclue.solver")
-
-# Re-shrink every cut added mid-loop and fail loudly if it was not already
-# minimal; meant for test runs.
-VERIFY_CUT_MINIMALITY = False
 
 
 class MscpStatus(Enum):
@@ -146,15 +140,17 @@ class _LoopBudget:
 
 
 @dataclass
-class _LoopOutcome:
+class FcpResult:
+    """Outcome of the hitting-set loop; `certificate` lists every cut used."""
+
     status: MscpStatus
-    best: frozenset
-    lower: int
-    upper: int
-    cuts: list[frozenset]
+    best_clue: frozenset
+    upper_bound: int
+    lower_bound: int
+    certificate: tuple[frozenset, ...]
     iterations: int
     trace: list[TraceEntry]
-    nodes: int
+    nodes: int = 0
 
 
 def _shrink(
@@ -185,7 +181,7 @@ def _ihs_loop(
     find_diff: Callable[[frozenset, _LoopBudget], Optional[frozenset]],
     seeds: list[frozenset],
     budget: _LoopBudget,
-) -> _LoopOutcome:
+) -> FcpResult:
     """Implicit hitting-set loop shared by the Sudoku and generic paths.
 
     `find_diff(revealed, budget)` returns the index/cell set on which some
@@ -284,18 +280,18 @@ def _ihs_loop(
         status = MscpStatus.BOUNDS_ONLY if solved_once else MscpStatus.INTERRUPTED
         note(iteration)
 
-    return _LoopOutcome(
-        status, incumbent, lower, upper, cuts, iteration, trace, budget.used_nodes
+    return FcpResult(
+        status, incumbent, upper, lower, tuple(cuts), iteration, trace, budget.used_nodes
     )
 
 
 def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     """Minimum number of clues (with witness pattern) pinning g uniquely.
 
-    Seeds the cut family from the unavoidable-set generator, then runs the
-    hitting-set loop to optimality or budget exhaustion. The result's
-    certificate collection contains every cut used, each a minimal
-    unavoidable set of g.
+    Seeds the cut family from the unavoidable-set generator, which may spend
+    at most half of a time budget, then runs the hitting-set loop to
+    optimality or budget exhaustion. The result's certificate collection
+    contains every cut used, each a minimal unavoidable set of g.
     """
     cfg = config or MscpConfig()
     budget = _LoopBudget(cfg.solve_budget)
@@ -311,12 +307,13 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
         seed_records = list(cfg.seed_collection.records[: cfg.initial_cuts])
         seeds = [rec.cells.as_frozenset() for rec in seed_records]
     elif cfg.initial_cuts > 0:
+        solve_time = cfg.solve_budget.max_time
         gen_limits = GenerationLimits(
             max_sets=min(cfg.initial_cuts, cfg.generation_limits.max_sets),
             max_size=cfg.generation_limits.max_size,
             max_time=_min_opt(
                 cfg.generation_limits.max_time,
-                cfg.solve_budget.max_time,
+                None if solve_time is None else solve_time / 2,
             ),
         )
         gen_stats = SearchStats()
@@ -349,13 +346,8 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     certificate = UnavoidableCollection(grid_fingerprint(g), g.size.n)
     for rec in seed_records:
         certificate.add(rec)
-    for k, cut in enumerate(outcome.cuts[len(seeds):]):
+    for k, cut in enumerate(outcome.certificate[len(seeds):]):
         cells = UnavoidableSet(cut)
-        if VERIFY_CUT_MINIMALITY:
-            from .unavoidable import minimalize
-
-            if minimalize(g, cells.cells) != cells:
-                raise MscpInternalError(f"loop produced a non-minimal cut {cells}")
         certificate.add(
             SetRecord(
                 cells,
@@ -367,9 +359,9 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
 
     return MscpResult(
         status=outcome.status,
-        best_pattern=CluePattern.from_cells(g.size, outcome.best),
-        upper_bound=outcome.upper,
-        lower_bound=outcome.lower,
+        best_pattern=CluePattern.from_cells(g.size, outcome.best_clue),
+        upper_bound=outcome.upper_bound,
+        lower_bound=outcome.lower_bound,
         certificate=certificate,
         iterations=outcome.iterations,
         trace=outcome.trace,
@@ -392,17 +384,12 @@ class FcpInstance:
     `target` is the certificate to pin down, one symbol per index.
     `alternate_finder(revealed)` must return a different certificate that
     agrees with the target on every revealed index, or None when none
-    exists. `deviation_finder(m, nogoods)`, when provided, returns a
-    certificate differing from the target in exactly m indices while
-    agreeing with it on at least one index of every nogood set; it powers
-    cut seeding exactly like the Sudoku generator.
+    exists. The finder is opaque to the solver: generic instances start
+    from no seed cuts, and its search nodes are not counted.
     """
 
     target: tuple
     alternate_finder: Callable[[frozenset], Optional[Sequence]]
-    deviation_finder: Optional[
-        Callable[[int, tuple[frozenset, ...]], Optional[Sequence]]
-    ] = None
     name: str = "fcp"
 
     @property
@@ -410,96 +397,36 @@ class FcpInstance:
         return len(self.target)
 
 
-@dataclass
-class FcpResult:
-    status: MscpStatus
-    best_clue: frozenset
-    upper_bound: int
-    lower_bound: int
-    certificate: tuple[frozenset, ...]
-    iterations: int
-    trace: list[TraceEntry]
-    nodes: int = 0
-
-
 def fcp_solve(instance: FcpInstance, config: Optional[MscpConfig] = None) -> FcpResult:
     """Fewest revealed indices whose unique consistent certificate is the
-    instance target; same loop as solve_mscp over certificate indices."""
+    instance target; same loop as solve_mscp over certificate indices.
+
+    Only `config.solve_budget` applies: the loop starts with no seed cuts,
+    and a node budget counts hitting-set nodes alone, since the alternate
+    finder reports none.
+    """
     cfg = config or MscpConfig()
     target = tuple(instance.target)
     l = len(target)
     if instance.alternate_finder(frozenset(range(l))) is not None:
         raise ValueError("target certificate is not uniquely pinned by a full reveal")
-    budget = _LoopBudget(cfg.solve_budget)
-
-    def diff_of(candidate: Sequence) -> frozenset:
-        cand = tuple(candidate)
-        if len(cand) != l:
-            raise ValueError("alternate certificate has wrong length")
-        out = frozenset(i for i in range(l) if cand[i] != target[i])
-        if not out:
-            raise ValueError("alternate certificate equals the target")
-        return out
 
     def find_diff(revealed: frozenset, loop_budget: _LoopBudget) -> Optional[frozenset]:
         loop_budget.check()
         alt = instance.alternate_finder(frozenset(revealed))
         if alt is None:
             return None
-        diff = diff_of(alt)
+        cand = tuple(alt)
+        if len(cand) != l:
+            raise ValueError("alternate certificate has wrong length")
+        diff = frozenset(i for i in range(l) if cand[i] != target[i])
+        if not diff:
+            raise ValueError("alternate certificate equals the target")
         if diff & revealed:
             raise ValueError("alternate certificate violates the revealed clue")
         return diff
 
-    seeds: list[frozenset] = []
-    if instance.deviation_finder is not None and cfg.initial_cuts > 0:
-        max_size = cfg.generation_limits.max_size or l
-        m = 1
-        while m <= min(max_size, l) and len(seeds) < min(
-            cfg.initial_cuts, cfg.generation_limits.max_sets
-        ):
-            budget.check()
-            found = instance.deviation_finder(m, tuple(seeds))
-            if found is None:
-                m += 1
-                continue
-            seeds.append(diff_of(found))
-
-    outcome = _ihs_loop(range(l), find_diff, seeds, budget)
-    return FcpResult(
-        status=outcome.status,
-        best_clue=outcome.best,
-        upper_bound=outcome.upper,
-        lower_bound=outcome.lower,
-        certificate=tuple(outcome.cuts),
-        iterations=outcome.iterations,
-        trace=outcome.trace,
-        nodes=outcome.nodes,
-    )
-
-
-def sudoku_fcp_instance(grid: Grid) -> FcpInstance:
-    """Wrap a Sudoku grid as a fewest-clue instance, one index per cell."""
-    n = grid.size.n
-
-    def cells_of(indices: frozenset) -> list[Cell]:
-        return [Cell(i // n + 1, i % n + 1) for i in sorted(indices)]
-
-    def alternate(revealed: frozenset) -> Optional[tuple]:
-        pattern = CluePattern.from_cells(grid.size, cells_of(revealed))
-        alt = find_alternate(grid, pattern)
-        return None if alt is None else alt.entries
-
-    def deviate(m: int, nogoods: tuple[frozenset, ...]) -> Optional[tuple]:
-        constraint = DeviationConstraint(
-            grid,
-            m,
-            tuple(frozenset(cells_of(group)) for group in nogoods),
-        )
-        found = find_deviating_grid(constraint)
-        return None if found is None else found.entries
-
-    return FcpInstance(grid.entries, alternate, deviate, name=f"sudoku{n}")
+    return _ihs_loop(range(l), find_diff, [], _LoopBudget(cfg.solve_budget))
 
 
 def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
@@ -516,42 +443,6 @@ def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
         col = target[i::n]
         if sorted(row) != list(range(1, n + 1)) or sorted(col) != list(range(1, n + 1)):
             raise ValueError("target is not a Latin square over 1..n")
-    full = (1 << n) - 1
-
-    def alternate(revealed: frozenset) -> Optional[tuple]:
-        values = [target[i] if i in revealed else 0 for i in range(l)]
-        rows = [0] * n
-        cols = [0] * n
-        for i, v in enumerate(values):
-            if v:
-                bit = 1 << (v - 1)
-                if rows[i // n] & bit or cols[i % n] & bit:
-                    return None
-                rows[i // n] |= bit
-                cols[i % n] |= bit
-        empties = [i for i in range(l) if not values[i]]
-
-        def rec(k: int) -> Optional[tuple]:
-            if k == len(empties):
-                done = tuple(values)
-                return None if done == target else done
-            i = empties[k]
-            r, c = i // n, i % n
-            cand = ~(rows[r] | cols[c]) & full
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                values[i] = bit.bit_length()
-                rows[r] |= bit
-                cols[c] |= bit
-                found = rec(k + 1)
-                values[i] = 0
-                rows[r] ^= bit
-                cols[c] ^= bit
-                if found is not None:
-                    return found
-            return None
-
-        return rec(0)
-
-    return FcpInstance(target, alternate, name=f"latin{n}")
+    return FcpInstance(
+        target, lambda revealed: latin_alternate(target, revealed), name=f"latin{n}"
+    )

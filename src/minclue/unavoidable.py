@@ -42,10 +42,6 @@ __all__ = [
     "load_collection",
 ]
 
-# Deletion-based minimality re-check of every stored set; expensive, meant
-# for test runs (see tests enabling it around the generator and solver).
-VERIFY_MINIMALITY = False
-
 
 class IdenticalGridsError(ValueError):
     pass
@@ -93,9 +89,6 @@ class UnavoidableSet:
 
     def as_frozenset(self) -> frozenset[Cell]:
         return frozenset(self.cells)
-
-    def issubset(self, other: "UnavoidableSet") -> bool:
-        return set(self.cells) <= set(other.cells)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UnavoidableSet) and self.cells == other.cells
@@ -275,8 +268,6 @@ def generate_all(
                 continue
             elapsed = perf_counter() - started
             cells = diff_cells(g, found)
-            if VERIFY_MINIMALITY and minimalize(g, cells.cells) != cells:
-                raise AssertionError(f"generator emitted a non-minimal set {cells}")
             record = SetRecord(cells, len(collection), m, elapsed)
             collection.add(record)
             nogoods.append(cells.as_frozenset())

@@ -24,7 +24,6 @@ from minclue import (
     save_collection,
     verify_validity,
 )
-import minclue.unavoidable as unavoidable_mod
 
 
 def swap_cells(grid, cells, mapping):
@@ -100,11 +99,7 @@ class TestGenerateAll:
 
     def test_4x4_complete_matches_oracle(self, grids4, grid4_objects, oracle_minimal_sets):
         idx = 17
-        unavoidable_mod.VERIFY_MINIMALITY = True
-        try:
-            coll = generate_all(grid4_objects[idx], GenerationLimits(max_sets=5000))
-        finally:
-            unavoidable_mod.VERIFY_MINIMALITY = False
+        coll = generate_all(grid4_objects[idx], GenerationLimits(max_sets=5000))
         got = {s.as_frozenset() for s in coll.sets}
         assert got == set(oracle_minimal_sets[idx])
         sizes = [s.size for s in coll.sets]
