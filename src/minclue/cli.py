@@ -20,7 +20,6 @@ from .engine import SearchBudget, count_solutions
 from .export import export_bilevel
 from .grid import (
     GridError,
-    apply_pattern,
     infer_size,
     iter_instance_lines,
     parse_grid,

@@ -430,15 +430,23 @@ class DeviationConstraint:
 
 
 class _DeviationSearch:
-    """Depth-first search for a grid at exact deviation distance.
+    """Resumable depth-first search for grids at exact deviation distance m.
+
+    `grids()` yields every grid at distance m that keeps a target cell in
+    each nogood, in search order: most-constrained cell first (ties by
+    index), digits ascending. While it is paused at a yield, `add_nogood`
+    adds a nogood in place; on resume the search unwinds only to the frame
+    whose assignment put the nogood's last cell off target and continues
+    with that frame's next sibling. Nogoods only prune, and the branching
+    order never depends on them, so the next grid is the one a restart with
+    the enlarged nogood list would find first.
 
     Pruning: a digit whose target cell was overwritten must reappear in the
     same row/column/box at some other (necessarily deviating) cell, so the
     deviation count so far plus the per-unit-family displaced-digit total is
     a lower bound on the final distance; branches where the exact target
-    becomes unreachable or exceeded are cut. Each nogood tracks how many of
-    its cells already match the target, so fixing the last cell of a nogood
-    to a non-target value fails immediately.
+    becomes unreachable or exceeded are cut. A nogood is violated exactly
+    when its cell mask is a subset of the mask of deviating cells.
     """
 
     def __init__(self, constraint: DeviationConstraint, ticker: _Ticker):
@@ -449,8 +457,13 @@ class _DeviationSearch:
         self.m = constraint.exact_deviations
         self.ticker = ticker
         self.target = list(grid.entries)
+        self.off_target = [geo.full & ~(1 << (v - 1)) for v in self.target]
         self.state = _State(geo, [0] * geo.cells)
-        self.deviations = 0
+        # target digits of the assigned cells per unit: the open cells can
+        # all keep their target digits iff these equal the placed digits
+        self.t_rows = [0] * n
+        self.t_cols = [0] * n
+        self.t_boxes = [0] * n
         # digit placement of the target grid inside each unit
         self.row_pos = [[0] * (n + 1) for _ in range(n)]
         self.col_pos = [[0] * (n + 1) for _ in range(n)]
@@ -459,104 +472,53 @@ class _DeviationSearch:
             self.row_pos[geo.row_of[i]][v] = i
             self.col_pos[geo.col_of[i]][v] = i
             self.box_pos[geo.box_of[i]][v] = i
-        # displaced-but-unplaced digit counts per unit, plus family totals
-        self.row_disp = [0] * n
-        self.col_disp = [0] * n
-        self.box_disp = [0] * n
-        self.row_total = 0
-        self.col_total = 0
-        self.box_total = 0
-        # nogood bookkeeping
-        self.nogood_cells: list[list[int]] = [[] for _ in range(geo.cells)]
-        self.matched: list[int] = []
-        self.open_cells: list[int] = []
-        for k, group in enumerate(constraint.nogoods):
-            self.matched.append(0)
-            self.open_cells.append(len(group))
-            for cell in group:
-                idx = (cell.row - 1) * n + (cell.col - 1)
-                self.nogood_cells[idx].append(k)
+        self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
+        self.path: list[int] = []  # the branching cell of each open frame
+        self.deviating = 0  # deviating-cell mask at the last yield
+        self.unwind = geo.cells  # depth of the frame to resume at; none pending
+        for group in constraint.nogoods:
+            self.add_nogood(group)
 
-    def _assign(self, idx: int, value: int) -> tuple[int, int, int, bool]:
-        """Place a digit; returns undo info (unit displacement deltas, ok)."""
-        geo = self.geo
-        state = self.state
-        r, c, b = geo.row_of[idx], geo.col_of[idx], geo.box_of[idx]
-        bit = 1 << (value - 1)
-        state.values[idx] = value
-        state.rows[r] |= bit
-        state.cols[c] |= bit
-        state.boxes[b] |= bit
-        gv = self.target[idx]
-        dr = dc = db = 0
-        if value != gv:
-            self.deviations += 1
-            gbit = 1 << (gv - 1)
-            if not state.rows[r] & gbit:
-                dr += 1
-            if not state.cols[c] & gbit:
-                dc += 1
-            if not state.boxes[b] & gbit:
-                db += 1
-            p = self.row_pos[r][value]
-            if state.values[p] not in (0, value):
-                dr -= 1
-            p = self.col_pos[c][value]
-            if state.values[p] not in (0, value):
-                dc -= 1
-            p = self.box_pos[b][value]
-            if state.values[p] not in (0, value):
-                db -= 1
-        self.row_disp[r] += dr
-        self.col_disp[c] += dc
-        self.box_disp[b] += db
-        self.row_total += dr
-        self.col_total += dc
-        self.box_total += db
-        ok = True
-        for k in self.nogood_cells[idx]:
-            self.open_cells[k] -= 1
-            if value == gv:
-                self.matched[k] += 1
-            elif self.matched[k] == 0 and self.open_cells[k] == 0:
-                ok = False
-        return dr, dc, db, ok
+    def add_nogood(self, cells) -> None:
+        """Keep at least one of `cells` at its target digit from now on."""
+        n = self.geo.n
+        indices = {(cell.row - 1) * n + (cell.col - 1) for cell in cells}
+        mask = sum(1 << idx for idx in indices)
+        for idx in indices:
+            self.nogoods_of[idx].append(mask)
+        if mask and mask & self.deviating == mask:
+            # violated by the grid just yielded: resume at the frame that
+            # put its last cell off target
+            last = max(d for d, idx in enumerate(self.path) if mask >> idx & 1)
+            self.unwind = min(self.unwind, last)
 
-    def _unassign(self, idx: int, value: int, undo: tuple[int, int, int, bool]) -> None:
-        geo = self.geo
-        state = self.state
-        r, c, b = geo.row_of[idx], geo.col_of[idx], geo.box_of[idx]
-        bit = 1 << (value - 1)
-        state.values[idx] = 0
-        state.rows[r] ^= bit
-        state.cols[c] ^= bit
-        state.boxes[b] ^= bit
-        gv = self.target[idx]
-        if value != gv:
-            self.deviations -= 1
-        dr, dc, db, _ = undo
-        self.row_disp[r] -= dr
-        self.col_disp[c] -= dc
-        self.box_disp[b] -= db
-        self.row_total -= dr
-        self.col_total -= dc
-        self.box_total -= db
-        for k in self.nogood_cells[idx]:
-            self.open_cells[k] += 1
-            if value == gv:
-                self.matched[k] -= 1
+    def grids(self) -> Iterator[tuple[int, ...]]:
+        return self._search(0, 0, 0, 0, 0)
 
-    def run(self) -> Optional[tuple[int, ...]]:
-        return self._search()
-
-    def _search(self) -> Optional[tuple[int, ...]]:
+    def _search(
+        self,
+        depth: int,
+        deviating: int,
+        row_total: int,
+        col_total: int,
+        box_total: int,
+    ) -> Iterator[tuple[int, ...]]:
+        """Grids below the frame at `depth`; `deviating` is the mask of
+        deviating cells, the totals are the displaced-digit counts."""
         m = self.m
-        if self.deviations == m:
-            return self._force_to_target()
-        geo = self.geo
+        deviations = deviating.bit_count()
         state = self.state
         values = state.values
         rows, cols, boxes = state.rows, state.cols, state.boxes
+        if deviations == m:
+            if rows == self.t_rows and cols == self.t_cols and boxes == self.t_boxes:
+                self.deviating = deviating
+                yield tuple(v or t for v, t in zip(values, self.target))
+                self.deviating = 0
+            return
+        geo = self.geo
+        row_of, col_of, box_of, full = geo.row_of, geo.col_of, geo.box_of, geo.full
+        off_target = self.off_target
         best = -1
         best_cand = 0
         best_count = geo.n + 1
@@ -564,64 +526,75 @@ class _DeviationSearch:
         for i in state.empties:
             if values[i]:
                 continue
-            cand = ~(rows[geo.row_of[i]] | cols[geo.col_of[i]] | boxes[geo.box_of[i]]) & geo.full
-            if cand == 0:
-                return None
-            if cand & ~(1 << (self.target[i] - 1)):
+            cand = ~(rows[row_of[i]] | cols[col_of[i]] | boxes[box_of[i]]) & full
+            if not cand:
+                return
+            if cand & off_target[i]:
                 deviatable += 1
             count = cand.bit_count()
             if count < best_count:
                 best, best_cand, best_count = i, cand, count
-        if self.deviations + deviatable < m:
-            return None
-        if best == -1:
-            # complete assignment with fewer than m deviations
-            return None
+        if deviations + deviatable < m:
+            # includes a complete assignment with fewer than m deviations
+            return
+        r, c, b = row_of[best], col_of[best], box_of[best]
         gv = self.target[best]
+        gbit = 1 << (gv - 1)
+        cell_bit = 1 << best
+        row_pos, col_pos, box_pos = self.row_pos[r], self.col_pos[c], self.box_pos[b]
+        nogoods = self.nogoods_of[best]
+        tick = self.ticker.tick
+        self.path.append(best)
+        self.t_rows[r] |= gbit
+        self.t_cols[c] |= gbit
+        self.t_boxes[b] |= gbit
         cand = best_cand
         while cand:
             bit = cand & -cand
             cand ^= bit
             value = bit.bit_length()
-            self.ticker.tick()
-            undo = self._assign(best, value)
-            ok = undo[3]
-            if ok and self.deviations + max(
-                self.row_total, self.col_total, self.box_total
-            ) <= m:
-                found = self._search()
-                if found is not None:
-                    return found
-            self._unassign(best, value, undo)
-        return None
-
-    def _force_to_target(self) -> Optional[tuple[int, ...]]:
-        """Assign every remaining cell its target digit, or fail."""
-        state = self.state
-        geo = self.geo
-        trail: list[tuple[int, int, tuple[int, int, int, bool]]] = []
-        solution: Optional[tuple[int, ...]] = None
-        ok = True
-        for idx in state.empties:
-            if state.values[idx]:
-                continue
-            value = self.target[idx]
-            bit = 1 << (value - 1)
-            r, c, b = geo.row_of[idx], geo.col_of[idx], geo.box_of[idx]
-            if (state.rows[r] | state.cols[c] | state.boxes[b]) & bit:
-                ok = False
-                break
-            self.ticker.tick()
-            undo = self._assign(idx, value)
-            trail.append((idx, value, undo))
-            if not undo[3]:
-                ok = False
-                break
-        if ok:
-            solution = tuple(state.values)
-        for idx, value, undo in reversed(trail):
-            self._unassign(idx, value, undo)
-        return solution
+            tick()
+            values[best] = value
+            rows[r] |= bit
+            cols[c] |= bit
+            boxes[b] |= bit
+            if value == gv:
+                yield from self._search(
+                    depth + 1, deviating, row_total, col_total, box_total
+                )
+            else:
+                dev = deviating | cell_bit
+                for mask in nogoods:
+                    if mask & dev == mask:
+                        break
+                else:
+                    # +1: the overwritten target digit is not yet elsewhere in
+                    # the unit; -1: `value` was displaced from its own target
+                    # cell in the unit and is now placed
+                    dr = (not rows[r] & gbit) - (values[row_pos[value]] != 0)
+                    dc = (not cols[c] & gbit) - (values[col_pos[value]] != 0)
+                    db = (not boxes[b] & gbit) - (values[box_pos[value]] != 0)
+                    bound = max(row_total + dr, col_total + dc, box_total + db)
+                    if deviations + 1 + bound <= m:
+                        yield from self._search(
+                            depth + 1,
+                            dev,
+                            row_total + dr,
+                            col_total + dc,
+                            box_total + db,
+                        )
+            values[best] = 0
+            rows[r] ^= bit
+            cols[c] ^= bit
+            boxes[b] ^= bit
+            if self.unwind <= depth:
+                if self.unwind < depth:
+                    break
+                self.unwind = geo.cells
+        self.path.pop()
+        self.t_rows[r] ^= gbit
+        self.t_cols[c] ^= gbit
+        self.t_boxes[b] ^= gbit
 
 
 def find_deviating_grid(
@@ -633,9 +606,8 @@ def find_deviating_grid(
     nogoods, or None when no such grid exists."""
     t0 = perf_counter()
     ticker = _Ticker(budget)
-    search = _DeviationSearch(constraint, ticker)
     try:
-        values = search.run()
+        values = next(_DeviationSearch(constraint, ticker).grids(), None)
     finally:
         _finish(stats, ticker, t0)
     if values is None:

@@ -390,7 +390,6 @@ class FcpInstance:
 
     target: tuple
     alternate_finder: Callable[[frozenset], Optional[Sequence]]
-    name: str = "fcp"
 
     @property
     def length(self) -> int:
@@ -443,6 +442,4 @@ def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
         col = target[i::n]
         if sorted(row) != list(range(1, n + 1)) or sorted(col) != list(range(1, n + 1)):
             raise ValueError("target is not a Latin square over 1..n")
-    return FcpInstance(
-        target, lambda revealed: latin_alternate(target, revealed), name=f"latin{n}"
-    )
+    return FcpInstance(target, lambda revealed: latin_alternate(target, revealed))

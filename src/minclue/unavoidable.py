@@ -3,9 +3,11 @@
 An unavoidable set of a completed grid is a cell set on which some other
 completed grid differs while agreeing everywhere else; every puzzle whose
 unique solution is the grid must reveal at least one cell of each such set.
-The generator walks deviation distances m = 1, 2, 3, ... and excludes every
-previously found set, so each emitted set is minimal and the run eventually
-exhausts all minimal sets (subject to the configured limits).
+The generator walks deviation distances m = 1, 2, 3, ... with one search per
+distance. Every set found so far is excluded; after emitting a set the
+search resumes where it stopped instead of restarting. Each emitted set is
+therefore minimal, and the run eventually exhausts all minimal sets
+(subject to the configured limits).
 """
 from __future__ import annotations
 
@@ -19,7 +21,10 @@ from .engine import (
     SearchBudget,
     SearchInterrupted,
     SearchStats,
+    _DeviationSearch,
+    _Ticker,
     find_alternate,
+    # not called here; perfbench/tracing.py wraps this module's name for it
     find_deviating_grid,
 )
 from .grid import Cell, CluePattern, Grid, GridError, serialize
@@ -235,51 +240,40 @@ def generate_all(
 ) -> UnavoidableCollection:
     """Enumerate minimal unavoidable sets in nondecreasing size order.
 
-    For each deviation distance m the search is re-run with all previously
-    emitted sets excluded until no further grid exists at that distance;
-    excluding emitted sets guarantees each new set is itself minimal, so no
+    For each deviation distance m one search runs until no further grid
+    exists at that distance; each emitted set becomes a nogood in place, and
+    the search resumes from where it stopped instead of restarting.
+    Excluding emitted sets guarantees each new set is itself minimal, so no
     shrinking pass is needed. `progress` receives (set_index, m, seconds)
     per emitted set. A time limit cuts the run short and flags the
     collection incomplete rather than returning a wrong answer.
     """
     collection = UnavoidableCollection(grid_fingerprint(g), g.size.n)
     started = perf_counter()
-    total_nodes = 0
+    ticker = _Ticker(SearchBudget(max_time=limits.max_time))
     max_size = limits.max_size if limits.max_size is not None else g.size.cell_count
     max_size = min(max_size, g.size.cell_count)
-    nogoods: list[frozenset[Cell]] = []
-    m = 1
     try:
-        while m <= max_size:
-            remaining: Optional[float] = None
-            if limits.max_time is not None:
-                remaining = limits.max_time - (perf_counter() - started)
-                if remaining <= 0:
-                    raise SearchInterrupted("time", total_nodes)
-            call_stats = SearchStats()
-            found = find_deviating_grid(
-                DeviationConstraint(g, m, tuple(nogoods)),
-                SearchBudget(max_time=remaining),
-                call_stats,
-            )
-            total_nodes += call_stats.nodes
-            if found is None:
-                m += 1
-                continue
-            elapsed = perf_counter() - started
-            cells = diff_cells(g, found)
-            record = SetRecord(cells, len(collection), m, elapsed)
-            collection.add(record)
-            nogoods.append(cells.as_frozenset())
-            if progress is not None:
-                progress(record.index, m, elapsed)
-            if len(collection) >= limits.max_sets:
-                collection.complete = False
+        for m in range(1, max_size + 1):
+            excluded = tuple(collection.family())
+            search = _DeviationSearch(DeviationConstraint(g, m, excluded), ticker)
+            for values in search.grids():
+                elapsed = perf_counter() - started
+                cells = diff_cells(g, Grid(g.size, values))
+                record = SetRecord(cells, len(collection), m, elapsed)
+                collection.add(record)
+                search.add_nogood(cells)
+                if progress is not None:
+                    progress(record.index, m, elapsed)
+                if len(collection) >= limits.max_sets:
+                    collection.complete = False
+                    break
+            if not collection.complete:
                 break
     except SearchInterrupted:
         collection.complete = False
     if stats is not None:
-        stats.nodes = total_nodes
+        stats.nodes = ticker.nodes
         stats.elapsed = perf_counter() - started
     return collection
 

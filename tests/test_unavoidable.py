@@ -8,14 +8,17 @@ from minclue import (
     Cell,
     CluePattern,
     CorruptCollectionError,
+    DeviationConstraint,
     FingerprintMismatchError,
     GenerationLimits,
     Grid,
     GridSize,
     IdenticalGridsError,
     NotUnavoidableError,
+    SearchStats,
     UnavoidableSet,
     diff_cells,
+    find_deviating_grid,
     generate_all,
     grid_fingerprint,
     is_unavoidable,
@@ -90,6 +93,27 @@ class TestMinimalize:
             minimalize(figure_grid, [Cell(1, 1), Cell(2, 2)])
 
 
+def emitted(collection):
+    return [(rec.cells, rec.discovered_size) for rec in collection.records]
+
+
+def restart_reference(grid, max_sets):
+    """(set, m) pairs in the order that one-shot searches find them when each
+    restarts at the same distance with every earlier set as a nogood."""
+    out = []
+    nogoods = []
+    m = 1
+    while m <= grid.size.cell_count and len(out) < max_sets:
+        found = find_deviating_grid(DeviationConstraint(grid, m, tuple(nogoods)))
+        if found is None:
+            m += 1
+            continue
+        cells = diff_cells(grid, found)
+        out.append((cells, m))
+        nogoods.append(cells.as_frozenset())
+    return out
+
+
 class TestGenerateAll:
     def test_figure_size4_contains_green(self, figure_grid):
         coll = generate_all(figure_grid, GenerationLimits(max_sets=100, max_size=4))
@@ -97,13 +121,32 @@ class TestGenerateAll:
         assert coll.complete
         assert all(s.size == 4 for s in coll.sets)
 
-    def test_4x4_complete_matches_oracle(self, grids4, grid4_objects, oracle_minimal_sets):
-        idx = 17
-        coll = generate_all(grid4_objects[idx], GenerationLimits(max_sets=5000))
-        got = {s.as_frozenset() for s in coll.sets}
-        assert got == set(oracle_minimal_sets[idx])
-        sizes = [s.size for s in coll.sets]
-        assert sizes == sorted(sizes)
+    def test_4x4_complete_matches_oracle(self, grid4_objects, oracle_minimal_sets):
+        # every 29th of the 288 grids, plus grid 17
+        for idx in sorted({17, *range(0, 288, 29)}):
+            coll = generate_all(grid4_objects[idx], GenerationLimits(max_sets=5000))
+            got = {s.as_frozenset() for s in coll.sets}
+            assert got == set(oracle_minimal_sets[idx]), idx
+            sizes = [s.size for s in coll.sets]
+            assert sizes == sorted(sizes)
+
+    @pytest.mark.parametrize("idx", range(0, 288, 29))
+    def test_4x4_sequence_matches_restarts(self, grid4_objects, idx):
+        grid = grid4_objects[idx]
+        coll = generate_all(grid, GenerationLimits(max_sets=5000))
+        assert coll.complete
+        assert emitted(coll) == restart_reference(grid, 5000)
+
+    def test_figure_sequence_matches_restarts(self, figure_grid):
+        coll = generate_all(figure_grid, GenerationLimits(max_sets=8))
+        assert emitted(coll) == restart_reference(figure_grid, 8)
+
+    def test_figure_node_gate(self, figure_grid):
+        # restarting the search after every set took 651,285 nodes here
+        stats = SearchStats()
+        coll = generate_all(figure_grid, GenerationLimits(max_sets=24), stats=stats)
+        assert len(coll) == 24
+        assert stats.nodes <= 200_000
 
     def test_no_superset_emissions(self, grid4_objects):
         coll = generate_all(grid4_objects[200], GenerationLimits(max_sets=5000))
@@ -221,7 +264,5 @@ class TestCollectionIO:
 class TestSmallSetsImpossible:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_4x4_never_below_size_4(self, grid4_objects, m):
-        from minclue import DeviationConstraint, find_deviating_grid
-
         for grid in grid4_objects[:10]:
             assert find_deviating_grid(DeviationConstraint(grid, m)) is None
