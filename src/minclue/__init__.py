@@ -42,7 +42,6 @@ from .grid import (
 from .hitting import (
     HittingInstance,
     HittingSolution,
-    InfeasibleInstanceError,
     disjoint_packing_bound,
     min_hitting_set,
 )

@@ -12,6 +12,7 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Optional
@@ -124,139 +125,123 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _genunav_one(task: dict) -> dict:
-    instance_id = task["instance_id"]
-    started = perf_counter()
-    try:
-        size = infer_size(task["token"])
-        grid = parse_grid(task["token"], size)
-        progress_rows: list[tuple[int, int, float]] = []
-        collection = generate_all(
-            grid,
-            GenerationLimits(
-                max_sets=task["max_sets"],
-                max_size=task["max_size"],
-                max_time=task["max_time"],
-            ),
-            progress=lambda idx, m, sec: progress_rows.append((idx, m, sec)),
-        )
-        out_path = task["out"]
-        save_collection(collection, out_path)
-        if task["progress_csv"]:
-            with open(task["progress_csv"], "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["set_index", "m", "elapsed_seconds"])
-                writer.writerows(progress_rows)
-        deltas = []
-        prev = 0.0
-        for _, _, sec in progress_rows:
-            deltas.append(sec - prev)
-            prev = sec
-        table = bucket_table(deltas)
-        lines = [f"{instance_id}: {len(collection)} sets -> {out_path}"]
-        lines.append("generation time [s]   sets")
-        for label, count in table:
-            lines.append(f"{label:<21} {count}")
-        return {
-            "ok": True,
-            "text": "\n".join(lines),
-            "record": {
-                "instance_id": instance_id,
-                "command": "genunav",
-                "config": f"max_sets={task['max_sets']};max_size={task['max_size']};max_time={task['max_time']}",
-                "status": "complete" if collection.complete else "incomplete",
-                "iterations": len(collection),
-                "elapsed_seconds": f"{perf_counter() - started:.3f}",
-            },
-        }
-    except Exception as exc:  # per-instance isolation
-        return {
-            "ok": False,
-            "text": f"{instance_id}: ERROR {exc}",
-            "record": {
-                "instance_id": instance_id,
-                "command": "genunav",
-                "status": f"error:{type(exc).__name__}",
-                "elapsed_seconds": f"{perf_counter() - started:.3f}",
-            },
-        }
+def _genunav_one(task: dict) -> tuple[str, dict]:
+    size = infer_size(task["token"])
+    grid = parse_grid(task["token"], size)
+    progress_rows: list[tuple[int, int, float]] = []
+    collection = generate_all(
+        grid,
+        GenerationLimits(
+            max_sets=task["max_sets"],
+            max_size=task["max_size"],
+            max_time=task["max_time"],
+        ),
+        progress=lambda idx, m, sec: progress_rows.append((idx, m, sec)),
+    )
+    out_path = task["out"]
+    save_collection(collection, out_path)
+    if task["progress_csv"]:
+        with open(task["progress_csv"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["set_index", "m", "elapsed_seconds"])
+            writer.writerows(progress_rows)
+    deltas = []
+    prev = 0.0
+    for _, _, sec in progress_rows:
+        deltas.append(sec - prev)
+        prev = sec
+    table = bucket_table(deltas)
+    lines = [f"{task['instance_id']}: {len(collection)} sets -> {out_path}"]
+    lines.append("generation time [s]   sets")
+    for label, count in table:
+        lines.append(f"{label:<21} {count}")
+    return "\n".join(lines), {
+        "config": f"max_sets={task['max_sets']};max_size={task['max_size']};max_time={task['max_time']}",
+        "status": "complete" if collection.complete else "incomplete",
+        "iterations": len(collection),
+    }
 
 
-def _solve_one(task: dict) -> dict:
+def _solve_one(task: dict) -> tuple[str, dict]:
     instance_id = task["instance_id"]
-    started = perf_counter()
-    try:
-        size = infer_size(task["token"])
-        grid = parse_grid(task["token"], size)
-        seed_collection = None
-        if task["cuts_file"]:
-            seed_collection = load_collection(task["cuts_file"], grid)
-        config = MscpConfig(
-            initial_cuts=task["seed_cuts"],
-            generation_limits=GenerationLimits(
-                max_sets=max(task["seed_cuts"], 1),
-                max_size=task["max_cut_size"],
-            ),
-            solve_budget=parse_budget(task["budget"]),
-            seed_collection=seed_collection,
-        )
-        result = solve_mscp(grid, config)
-        if task["trace_csv"]:
-            with open(task["trace_csv"], "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["iteration", "lower", "upper", "certificate_size", "elapsed_seconds"]
-                )
-                for entry in result.trace:
-                    writer.writerow(
-                        [
-                            entry.iteration,
-                            entry.lower,
-                            entry.upper,
-                            entry.certificate_size,
-                            f"{entry.elapsed:.6f}",
-                        ]
-                    )
-        if result.status is MscpStatus.OPTIMAL:
-            text = f"{instance_id}: optimum {result.upper_bound}"
-        else:
-            text = (
-                f"{instance_id}: {result.status.value} "
-                f"lower={result.lower_bound} upper={result.upper_bound}"
+    size = infer_size(task["token"])
+    grid = parse_grid(task["token"], size)
+    seed_collection = None
+    if task["cuts_file"]:
+        seed_collection = load_collection(task["cuts_file"], grid)
+    config = MscpConfig(
+        initial_cuts=task["seed_cuts"],
+        generation_limits=GenerationLimits(
+            max_sets=max(task["seed_cuts"], 1),
+            max_size=task["max_cut_size"],
+        ),
+        solve_budget=parse_budget(task["budget"]),
+        seed_collection=seed_collection,
+    )
+    result = solve_mscp(grid, config)
+    if task["trace_csv"]:
+        with open(task["trace_csv"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["iteration", "lower", "upper", "certificate_size", "elapsed_seconds"]
             )
-        return {
-            "ok": True,
-            "text": text,
-            "record": {
-                "instance_id": instance_id,
-                "command": "solve",
-                "config": f"seed_cuts={task['seed_cuts']};budget={task['budget'] or 'none'}",
-                "status": result.status.value,
-                "lower_bound": result.lower_bound,
-                "upper_bound": result.upper_bound,
-                "iterations": result.iterations,
-                "nodes": result.nodes,
-                "elapsed_seconds": f"{perf_counter() - started:.3f}",
-            },
-        }
-    except Exception as exc:
-        return {
-            "ok": False,
-            "text": f"{instance_id}: ERROR {exc}",
-            "record": {
-                "instance_id": instance_id,
-                "command": "solve",
-                "status": f"error:{type(exc).__name__}",
-                "elapsed_seconds": f"{perf_counter() - started:.3f}",
-            },
-        }
+            for entry in result.trace:
+                writer.writerow(
+                    [
+                        entry.iteration,
+                        entry.lower,
+                        entry.upper,
+                        entry.certificate_size,
+                        f"{entry.elapsed:.6f}",
+                    ]
+                )
+    if result.status is MscpStatus.OPTIMAL:
+        text = f"{instance_id}: optimum {result.upper_bound}"
+    else:
+        text = (
+            f"{instance_id}: {result.status.value} "
+            f"lower={result.lower_bound} upper={result.upper_bound}"
+        )
+    return text, {
+        "config": f"seed_cuts={task['seed_cuts']};budget={task['budget'] or 'none'}",
+        "status": result.status.value,
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
+        "iterations": result.iterations,
+        "nodes": result.nodes,
+    }
 
 
-def _run_tasks(tasks: list[dict], worker, jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+def _run_one(worker, task: dict) -> dict:
+    """One instance of one command; a failure becomes an error outcome."""
+    started = perf_counter()
+    try:
+        text, record = worker(task)
+        ok = True
+    except Exception as exc:  # per-instance isolation
+        text = f"{task['instance_id']}: ERROR {exc}"
+        record = {"status": f"error:{type(exc).__name__}"}
+        ok = False
+    record["instance_id"] = task["instance_id"]
+    record["command"] = task["command"]
+    record["elapsed_seconds"] = f"{perf_counter() - started:.3f}"
+    return {"ok": ok, "text": text, "record": record}
+
+
+def _run_tasks(args, worker, tasks: list[dict]) -> int:
+    """Run every task, print and record each outcome; 1 if any failed."""
+    run = partial(_run_one, worker)
+    if args.jobs <= 1 or len(tasks) <= 1:
+        outcomes = [run(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(run, tasks))
+    failed = 0
+    for outcome in outcomes:
+        print(outcome["text"])
+        _append_record(args.results_csv, outcome["record"])
+        failed += 0 if outcome["ok"] else 1
+    return 1 if failed else 0
 
 
 def _cmd_genunav(args) -> int:
@@ -271,6 +256,7 @@ def _cmd_genunav(args) -> int:
         )
         tasks.append(
             {
+                "command": "genunav",
                 "instance_id": instance_id,
                 "token": token,
                 "max_sets": args.max_sets,
@@ -280,13 +266,7 @@ def _cmd_genunav(args) -> int:
                 "progress_csv": _derived_path(args.progress_csv, many, instance_id),
             }
         )
-    outcomes = _run_tasks(tasks, _genunav_one, args.jobs)
-    failed = 0
-    for outcome in outcomes:
-        print(outcome["text"])
-        _append_record(args.results_csv, outcome["record"])
-        failed += 0 if outcome["ok"] else 1
-    return 1 if failed else 0
+    return _run_tasks(args, _genunav_one, tasks)
 
 
 def _cmd_solve(args) -> int:
@@ -294,6 +274,7 @@ def _cmd_solve(args) -> int:
     many = len(instances) > 1
     tasks = [
         {
+            "command": "solve",
             "instance_id": instance_id,
             "token": token,
             "seed_cuts": args.seed_cuts,
@@ -304,13 +285,7 @@ def _cmd_solve(args) -> int:
         }
         for instance_id, token in instances
     ]
-    outcomes = _run_tasks(tasks, _solve_one, args.jobs)
-    failed = 0
-    for outcome in outcomes:
-        print(outcome["text"])
-        _append_record(args.results_csv, outcome["record"])
-        failed += 0 if outcome["ok"] else 1
-    return 1 if failed else 0
+    return _run_tasks(args, _solve_one, tasks)
 
 
 def _cmd_verify(args) -> int:

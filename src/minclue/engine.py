@@ -2,12 +2,16 @@
 
 One private mutable state per call; every public function is reentrant and
 deterministic: most-constrained cell first, ties by (row, col), digits tried
-in ascending order. Budgets are enforced as exact node counts (optionally
+in ascending order. Every completion query (count, solve, alternate,
+enumeration) consumes the one propagating generator `_completions`, so they
+all see completions in the same search order. Budgets are enforced as exact node counts (optionally
 wall-clock time) and surface as SearchInterrupted, never as a wrong answer.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isqrt
 from time import perf_counter
 from typing import Iterator, Optional, Sequence
@@ -54,18 +58,28 @@ class SearchInterrupted(Exception):
 
 
 class _Ticker:
-    """Node counter with budget enforcement; time checked every 1024 nodes."""
+    """Node counter with budget enforcement; time checked every 1024 nodes.
 
-    __slots__ = ("nodes", "max_nodes", "deadline")
+    The clock starts when the ticker is made; `record` copies the nodes and
+    the seconds since then into a SearchStats.
+    """
+
+    __slots__ = ("nodes", "max_nodes", "started", "deadline")
 
     def __init__(self, budget: Optional[SearchBudget]):
         self.nodes = 0
         self.max_nodes = budget.max_nodes if budget else None
+        self.started = perf_counter()
         self.deadline = (
-            perf_counter() + budget.max_time
+            self.started + budget.max_time
             if budget and budget.max_time is not None
             else None
         )
+
+    def record(self, stats: Optional[SearchStats]) -> None:
+        if stats is not None:
+            stats.nodes = self.nodes
+            stats.elapsed = perf_counter() - self.started
 
     def tick(self) -> None:
         self.nodes += 1
@@ -149,14 +163,13 @@ class _State:
                 self.empties.append(i)
 
 
-def _search_completions(state: _State, ticker: _Ticker, need: int, skip, out) -> int:
-    """Depth-first enumeration core shared by all completion searches.
+def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
+    """Depth-first enumeration core shared by every completion search.
 
     Forced placements (a cell with one candidate, a digit with one home in a
-    unit) are applied before branching on the most-constrained cell. Counts
-    completions until `need` are found; a completion equal to `skip` (an
-    entries tuple or None) is not counted. The entry tuple of the last found
-    completion is appended to `out` when `out` is non-None.
+    unit) are applied before branching on the most-constrained cell. Yields
+    the entry tuple of each completion in search order; a caller that has
+    what it needs stops consuming, so the search does no further work.
     """
     geo = state.geo
     values = state.values
@@ -219,7 +232,7 @@ def _search_completions(state: _State, ticker: _Ticker, need: int, skip, out) ->
             cand = ~(rows[row_of[i]] | cols[col_of[i]] | boxes[box_of[i]]) & full
             if cand == 0:
                 undo()
-                return 0
+                return
             if not cand & (cand - 1):
                 place(i, cand)
                 assigned = True
@@ -232,7 +245,7 @@ def _search_completions(state: _State, ticker: _Ticker, need: int, skip, out) ->
                 got = scan_unit(cells_u, masks[u])
                 if got < 0:
                     undo()
-                    return 0
+                    return
                 if got:
                     assigned = True
         if not assigned:
@@ -251,15 +264,10 @@ def _search_completions(state: _State, ticker: _Ticker, need: int, skip, out) ->
             if count == 2:
                 break
     if best == -1:
-        done = tuple(values)
+        yield tuple(values)
         undo()
-        if skip is not None and done == skip:
-            return 0
-        if out is not None:
-            out.append(done)
-        return 1
+        return
     r, c, b = row_of[best], col_of[best], box_of[best]
-    found = 0
     cand = best_cand
     while cand:
         bit = cand & -cand
@@ -269,21 +277,36 @@ def _search_completions(state: _State, ticker: _Ticker, need: int, skip, out) ->
         rows[r] |= bit
         cols[c] |= bit
         boxes[b] |= bit
-        found += _search_completions(state, ticker, need - found, skip, out)
+        yield from _completions(state, ticker)
         values[best] = 0
         rows[r] ^= bit
         cols[c] ^= bit
         boxes[b] ^= bit
-        if found >= need:
-            break
     undo()
-    return found
 
 
-def _finish(stats: Optional[SearchStats], ticker: _Ticker, t0: float) -> None:
-    if stats is not None:
-        stats.nodes = ticker.nodes
-        stats.elapsed = perf_counter() - t0
+def _solutions(
+    puzzle: Puzzle, budget: Optional[SearchBudget], stats: Optional[SearchStats]
+) -> Iterator[tuple[int, ...]]:
+    """The puzzle's completions in search order under one budget; `stats`
+    is filled when the search ends, fails or is closed."""
+    ticker = _Ticker(budget)
+    try:
+        geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
+        yield from _completions(_State(geo, puzzle.entries), ticker)
+    finally:
+        ticker.record(stats)
+
+
+def _first(
+    completions: Iterator[tuple[int, ...]], skip: Optional[tuple[int, ...]] = None
+) -> Optional[tuple[int, ...]]:
+    """The first completion other than `skip`, or None; closes the search."""
+    with closing(completions):
+        for values in completions:
+            if values != skip:
+                return values
+    return None
 
 
 def count_solutions(
@@ -295,13 +318,8 @@ def count_solutions(
     """Exact number of completions if below `limit`, else `limit`."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    t0 = perf_counter()
-    ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
-    try:
-        return _search_completions(state, ticker, limit, None, None)
-    finally:
-        _finish(stats, ticker, t0)
+    with closing(_solutions(puzzle, budget, stats)) as completions:
+        return sum(1 for _ in islice(completions, limit))
 
 
 def iter_solutions(
@@ -309,53 +327,11 @@ def iter_solutions(
     budget: Optional[SearchBudget] = None,
     stats: Optional[SearchStats] = None,
 ) -> Iterator[Grid]:
-    """Lazily enumerate every completion of the puzzle as Grid objects."""
-
-    def generate(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
-        geo = state.geo
-        values = state.values
-        rows, cols, boxes = state.rows, state.cols, state.boxes
-        best = -1
-        best_cand = 0
-        best_count = geo.n + 1
-        for i in state.empties:
-            if values[i]:
-                continue
-            cand = ~(rows[geo.row_of[i]] | cols[geo.col_of[i]] | boxes[geo.box_of[i]]) & geo.full
-            if cand == 0:
-                return
-            count = cand.bit_count()
-            if count < best_count:
-                best, best_cand, best_count = i, cand, count
-                if count == 1:
-                    break
-        if best == -1:
-            yield tuple(values)
-            return
-        r, c, b = geo.row_of[best], geo.col_of[best], geo.box_of[best]
-        cand = best_cand
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            ticker.tick()
-            values[best] = bit.bit_length()
-            rows[r] |= bit
-            cols[c] |= bit
-            boxes[b] |= bit
-            yield from generate(state, ticker)
-            values[best] = 0
-            rows[r] ^= bit
-            cols[c] ^= bit
-            boxes[b] ^= bit
-
-    t0 = perf_counter()
-    ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
-    try:
-        for values in generate(state, ticker):
+    """Lazily enumerate every completion of the puzzle as Grid objects, in
+    the same search order as solve_puzzle and count_solutions."""
+    with closing(_solutions(puzzle, budget, stats)) as completions:
+        for values in completions:
             yield Grid(puzzle.size, values)
-    finally:
-        _finish(stats, ticker, t0)
 
 
 def solve_puzzle(
@@ -364,15 +340,8 @@ def solve_puzzle(
     stats: Optional[SearchStats] = None,
 ) -> Optional[Grid]:
     """First completion in search order, or None when unsatisfiable."""
-    t0 = perf_counter()
-    ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
-    out: list[tuple[int, ...]] = []
-    try:
-        found = _search_completions(state, ticker, 1, None, out)
-    finally:
-        _finish(stats, ticker, t0)
-    return Grid(puzzle.size, out[0]) if found else None
+    values = _first(_solutions(puzzle, budget, stats))
+    return None if values is None else Grid(puzzle.size, values)
 
 
 def find_alternate(
@@ -386,15 +355,8 @@ def find_alternate(
     None means the pattern induces a puzzle whose unique solution is `grid`.
     """
     puzzle = apply_pattern(grid, pattern)
-    t0 = perf_counter()
-    ticker = _Ticker(budget)
-    state = _State(_Geometry.get(puzzle.size.n, puzzle.size.s), puzzle.entries)
-    out: list[tuple[int, ...]] = []
-    try:
-        found = _search_completions(state, ticker, 1, grid.entries, out)
-    finally:
-        _finish(stats, ticker, t0)
-    return Grid(grid.size, out[0]) if found else None
+    values = _first(_solutions(puzzle, budget, stats), skip=grid.entries)
+    return None if values is None else Grid(grid.size, values)
 
 
 def latin_alternate(
@@ -405,9 +367,7 @@ def latin_alternate(
     n = isqrt(len(target))
     entries = [v if i in revealed else 0 for i, v in enumerate(target)]
     state = _State(_Geometry.get(n, 0), entries)
-    out: list[tuple[int, ...]] = []
-    found = _search_completions(state, _Ticker(None), 1, tuple(target), out)
-    return out[0] if found else None
+    return _first(_completions(state, _Ticker(None)), skip=tuple(target))
 
 
 @dataclass(frozen=True)
@@ -604,12 +564,11 @@ def find_deviating_grid(
 ) -> Optional[Grid]:
     """A grid at exact deviation distance from the target honouring all
     nogoods, or None when no such grid exists."""
-    t0 = perf_counter()
     ticker = _Ticker(budget)
     try:
         values = next(_DeviationSearch(constraint, ticker).grids(), None)
     finally:
-        _finish(stats, ticker, t0)
+        ticker.record(stats)
     if values is None:
         return None
     return Grid(constraint.target.size, values)

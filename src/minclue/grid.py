@@ -79,10 +79,6 @@ class GridSize:
     def cell_count(self) -> int:
         return self.n * self.n
 
-    def box_index(self, row: int, col: int) -> int:
-        """0-based box number of a 1-based (row, col)."""
-        return ((row - 1) // self.s) * self.s + (col - 1) // self.s
-
     def check_cell(self, cell: "Cell") -> None:
         if not (1 <= cell.row <= self.n and 1 <= cell.col <= self.n):
             raise GridError(f"cell {cell} out of bounds for {self.n}x{self.n} board")
@@ -152,11 +148,6 @@ class Grid:
         self.size = size
         self._entries = _check_entries(size, tuple(entries), allow_empty=False)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Grid":
-        flat = [v for row in rows for v in row]
-        return cls(GridSize.of_side(isqrt(len(flat))), flat)
-
     @property
     def entries(self) -> tuple[int, ...]:
         return self._entries
@@ -203,12 +194,6 @@ class Puzzle:
     @property
     def givens_count(self) -> int:
         return sum(1 for v in self._entries if v)
-
-    def given_cells(self) -> list[Cell]:
-        n = self.size.n
-        return [
-            Cell(i // n + 1, i % n + 1) for i, v in enumerate(self._entries) if v
-        ]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -259,9 +244,6 @@ class CluePattern:
 
     def cardinality(self) -> int:
         return sum(self._mask)
-
-    def is_set(self, row: int, col: int) -> bool:
-        return self._mask[(row - 1) * self.size.n + (col - 1)]
 
     def cells(self) -> list[Cell]:
         n = self.size.n

@@ -14,8 +14,7 @@ hashables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .engine import SearchBudget, SearchInterrupted, SearchStats, _Ticker
@@ -23,36 +22,21 @@ from .engine import SearchBudget, SearchInterrupted, SearchStats, _Ticker
 __all__ = [
     "HittingInstance",
     "HittingSolution",
-    "InfeasibleInstanceError",
     "min_hitting_set",
     "disjoint_packing_bound",
 ]
-
-
-class InfeasibleInstanceError(ValueError):
-    """A family member lies entirely inside forced_out."""
 
 
 @dataclass(frozen=True)
 class HittingInstance:
     universe: tuple
     family: tuple[frozenset, ...]
-    forced_in: frozenset = field(default_factory=frozenset)
-    forced_out: frozenset = field(default_factory=frozenset)
 
     @classmethod
-    def build(
-        cls,
-        universe: Iterable,
-        family: Iterable[Iterable],
-        forced_in: Iterable = (),
-        forced_out: Iterable = (),
-    ) -> "HittingInstance":
+    def build(cls, universe: Iterable, family: Iterable[Iterable]) -> "HittingInstance":
         return cls(
             tuple(sorted(set(universe))),
             tuple(frozenset(member) for member in family),
-            frozenset(forced_in),
-            frozenset(forced_out),
         )
 
 
@@ -64,31 +48,15 @@ class HittingSolution:
     lower_bound: int
 
 
-def _preprocess(instance: HittingInstance):
-    """Apply forced cells; returns the residual family in original order."""
-    residual: list[frozenset] = []
-    for member in instance.family:
-        if member & instance.forced_in:
-            continue
-        live = member - instance.forced_out
-        if not live:
-            raise InfeasibleInstanceError(
-                f"family member {sorted(member)} is fully forced out"
-            )
-        residual.append(live)
-    return residual
-
-
 def disjoint_packing_bound(instance: HittingInstance) -> int:
     """Greedy count of pairwise-disjoint family members: a lower bound."""
-    residual = _preprocess(instance)
     taken: set = set()
     count = 0
-    for member in residual:
+    for member in instance.family:
         if not member & taken:
             taken |= member
             count += 1
-    return count + len(instance.forced_in)
+    return count
 
 
 def _pack(masks: Sequence[int], chosen: int) -> int:
@@ -128,20 +96,19 @@ def min_hitting_set(
     A budget interrupt returns the best incumbent (not flagged optimal)
     together with a still-sound lower bound over the open nodes.
     """
-    t0 = perf_counter()
-    residual = _preprocess(instance)
-    base = frozenset(instance.forced_in)
-    if not residual:
-        sol = HittingSolution(base, len(base), True, len(base))
-        if stats is not None:
-            stats.elapsed = perf_counter() - t0
-        return sol
+    family = instance.family
+    if not all(family):
+        raise ValueError("an empty family member cannot be hit")
+    ticker = _Ticker(budget)
+    if not family:
+        ticker.record(stats)
+        return HittingSolution(frozenset(), 0, True, 0)
 
-    elements = sorted(set().union(*residual))
+    elements = sorted(set().union(*family))
     # root-only dominance: drop a cell whose set-membership list is within
     # another cell's (the canonically smaller cell survives exact ties)
     membership: dict = {e: 0 for e in elements}
-    for k, member in enumerate(residual):
+    for k, member in enumerate(family):
         bit = 1 << k
         for e in member:
             membership[e] |= bit
@@ -163,18 +130,16 @@ def min_hitting_set(
 
     pos = {e: i for i, e in enumerate(kept)}
     masks = [
-        sum(1 << pos[e] for e in member if e in pos) for member in residual
+        sum(1 << pos[e] for e in member if e in pos) for member in family
     ]
     pack_order = sorted(masks, key=lambda m: m.bit_count())
 
-    ticker = _Ticker(budget)
-    offset = len(base)
     best_mask: Optional[int] = None
     # before an incumbent exists, a node is cut when its bound exceeds
     # best_value; afterwards, when its bound merely reaches it
-    best_value = len(kept) + 1 if upper_hint is None else upper_hint - offset
+    best_value = len(kept) + 1 if upper_hint is None else upper_hint
     # any solution this small is optimal: stop at the first one found
-    good_enough = max(lower_hint - offset, _pack(pack_order, 0))
+    good_enough = max(lower_hint, _pack(pack_order, 0))
 
     # frame: (chosen_mask, chosen_count, banned_mask)
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
@@ -220,9 +185,7 @@ def min_hitting_set(
             taken_before |= bit
         stack.extend(reversed(children))
 
-    if stats is not None:
-        stats.nodes = ticker.nodes
-        stats.elapsed = perf_counter() - t0
+    ticker.record(stats)
 
     if interrupted:
         open_bounds = []
@@ -236,10 +199,10 @@ def min_hitting_set(
             for mask in masks:
                 if not mask & best_mask:
                     best_mask |= mask & -mask
-        cells = base | {kept[i] for i in range(len(kept)) if best_mask >> i & 1}
-        return HittingSolution(cells, len(cells), False, min(lower + offset, len(cells)))
+        cells = frozenset(kept[i] for i in range(len(kept)) if best_mask >> i & 1)
+        return HittingSolution(cells, len(cells), False, min(lower, len(cells)))
 
     if best_mask is None:
         raise ValueError("upper_hint was below the true optimum")
-    cells = base | {kept[i] for i in range(len(kept)) if best_mask >> i & 1}
+    cells = frozenset(kept[i] for i in range(len(kept)) if best_mask >> i & 1)
     return HittingSolution(cells, len(cells), True, len(cells))

@@ -391,10 +391,6 @@ class FcpInstance:
     target: tuple
     alternate_finder: Callable[[frozenset], Optional[Sequence]]
 
-    @property
-    def length(self) -> int:
-        return len(self.target)
-
 
 def fcp_solve(instance: FcpInstance, config: Optional[MscpConfig] = None) -> FcpResult:
     """Fewest revealed indices whose unique consistent certificate is the

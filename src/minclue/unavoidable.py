@@ -249,7 +249,6 @@ def generate_all(
     collection incomplete rather than returning a wrong answer.
     """
     collection = UnavoidableCollection(grid_fingerprint(g), g.size.n)
-    started = perf_counter()
     ticker = _Ticker(SearchBudget(max_time=limits.max_time))
     max_size = limits.max_size if limits.max_size is not None else g.size.cell_count
     max_size = min(max_size, g.size.cell_count)
@@ -258,7 +257,7 @@ def generate_all(
             excluded = tuple(collection.family())
             search = _DeviationSearch(DeviationConstraint(g, m, excluded), ticker)
             for values in search.grids():
-                elapsed = perf_counter() - started
+                elapsed = perf_counter() - ticker.started
                 cells = diff_cells(g, Grid(g.size, values))
                 record = SetRecord(cells, len(collection), m, elapsed)
                 collection.add(record)
@@ -272,9 +271,7 @@ def generate_all(
                 break
     except SearchInterrupted:
         collection.complete = False
-    if stats is not None:
-        stats.nodes = ticker.nodes
-        stats.elapsed = perf_counter() - started
+    ticker.record(stats)
     return collection
 
 

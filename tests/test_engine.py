@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -52,13 +53,22 @@ class TestCountSolutions:
             got = count_solutions(puzzle, 1000)
             assert got == oracle.count_matching(list(grids4), puzzle.entries)
 
-    def test_determinism(self, figure_puzzle):
+    def test_determinism(self, figure_grid, figure_puzzle):
         runs = []
         for _ in range(2):
             stats = SearchStats()
             count_solutions(figure_puzzle, 2, stats=stats)
             runs.append(stats.nodes)
-        assert runs[0] == runs[1]
+        assert runs == [64, 64]
+        # the same search serves find_alternate and a long count
+        pattern = pattern_of_givens(figure_puzzle).without([Cell(2, 1)])
+        stats = SearchStats()
+        assert find_alternate(figure_grid, pattern, stats=stats) is not None
+        assert stats.nodes == 71
+        stats = SearchStats()
+        puzzle = apply_pattern(figure_grid, pattern)
+        assert count_solutions(puzzle, 1000, stats=stats) == 1000
+        assert stats.nodes == 19_403
 
 
 class TestSolvePuzzle:
@@ -221,3 +231,24 @@ class TestIterSolutions:
     def test_enumerates_exactly_the_completions(self, grids4, size4):
         got = {g.entries for g in iter_solutions(Puzzle(size4, [0] * 16))}
         assert got == set(grids4)
+
+    def test_same_order_as_solve_and_count(self, grid4_objects, size4):
+        rng = random.Random(2024)
+        for _ in range(210):
+            idx = rng.randrange(288)
+            mask = [rng.random() < 0.3 for _ in range(16)]
+            puzzle = apply_pattern(grid4_objects[idx], CluePattern(size4, mask))
+            grids = list(iter_solutions(puzzle))
+            assert grids[0] == solve_puzzle(puzzle)
+            assert len(grids) == count_solutions(puzzle, 1000)
+
+    def test_lazy_on_empty_9x9(self, size9):
+        puzzle = Puzzle(size9, [0] * 81)
+        stats = SearchStats()
+        solutions = iter_solutions(puzzle, SearchBudget(max_nodes=10_000), stats)
+        grids = list(islice(solutions, 3))
+        solutions.close()
+        assert len(set(grids)) == 3
+        assert grids[0] == solve_puzzle(puzzle)
+        assert all(recount_units(size9, g.entries) for g in grids)
+        assert 0 < stats.nodes <= 10_000

@@ -8,7 +8,6 @@ from minclue import (
     Cell,
     GridSize,
     HittingInstance,
-    InfeasibleInstanceError,
     SearchBudget,
     disjoint_packing_bound,
     min_hitting_set,
@@ -28,6 +27,11 @@ class TestExamples:
     def test_empty_family(self, size9):
         sol = min_hitting_set(HittingInstance.build(size9.all_cells(), []))
         assert sol.value == 0 and sol.cells == frozenset() and sol.proven_optimal
+
+    def test_empty_member_is_rejected(self, size9):
+        inst = HittingInstance.build(size9.all_cells(), [GREEN, frozenset()])
+        with pytest.raises(ValueError):
+            min_hitting_set(inst)
 
     def test_single_green_set(self, size9):
         sol = min_hitting_set(HittingInstance.build(size9.all_cells(), [GREEN]))
@@ -90,27 +94,6 @@ class TestExactness:
             value = min_hitting_set(HittingInstance.build(uni, fam)).value
             assert value >= prev
             prev = value
-
-
-class TestForcedCells:
-    def test_forced_in_counts_and_hits(self):
-        fam = [frozenset({1, 2}), frozenset({3, 4})]
-        inst = HittingInstance.build(range(1, 5), fam, forced_in={2})
-        sol = min_hitting_set(inst)
-        assert 2 in sol.cells and sol.value == 2
-
-    def test_forced_out_infeasible(self):
-        fam = [frozenset({1, 2})]
-        inst = HittingInstance.build(range(1, 5), fam, forced_out={1, 2})
-        with pytest.raises(InfeasibleInstanceError):
-            min_hitting_set(inst)
-        with pytest.raises(InfeasibleInstanceError):
-            disjoint_packing_bound(inst)
-
-    def test_forced_out_avoided(self):
-        fam = [frozenset({1, 2}), frozenset({2, 3})]
-        sol = min_hitting_set(HittingInstance.build(range(1, 4), fam, forced_out={2}))
-        assert sol.cells == {1, 3}
 
 
 class TestUpperHint:
