@@ -125,18 +125,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _genunav_one(task: dict) -> tuple[str, dict]:
+def _genunav_one(task: dict) -> tuple[bool, str, dict]:
     size = infer_size(task["token"])
     grid = parse_grid(task["token"], size)
     progress_rows: list[tuple[int, int, float]] = []
     collection = generate_all(
         grid,
-        GenerationLimits(
-            max_sets=task["max_sets"],
-            max_size=task["max_size"],
-            max_time=task["max_time"],
-        ),
+        GenerationLimits(max_sets=task["max_sets"], max_size=task["max_size"]),
         progress=lambda idx, m, sec: progress_rows.append((idx, m, sec)),
+        budget=SearchBudget(max_time=task["max_time"]),
     )
     out_path = task["out"]
     save_collection(collection, out_path)
@@ -155,14 +152,14 @@ def _genunav_one(task: dict) -> tuple[str, dict]:
     lines.append("generation time [s]   sets")
     for label, count in table:
         lines.append(f"{label:<21} {count}")
-    return "\n".join(lines), {
+    return True, "\n".join(lines), {
         "config": f"max_sets={task['max_sets']};max_size={task['max_size']};max_time={task['max_time']}",
         "status": "complete" if collection.complete else "incomplete",
         "iterations": len(collection),
     }
 
 
-def _solve_one(task: dict) -> tuple[str, dict]:
+def _solve_one(task: dict) -> tuple[bool, str, dict]:
     instance_id = task["instance_id"]
     size = infer_size(task["token"])
     grid = parse_grid(task["token"], size)
@@ -202,7 +199,7 @@ def _solve_one(task: dict) -> tuple[str, dict]:
             f"{instance_id}: {result.status.value} "
             f"lower={result.lower_bound} upper={result.upper_bound}"
         )
-    return text, {
+    return True, text, {
         "config": f"seed_cuts={task['seed_cuts']};budget={task['budget'] or 'none'}",
         "status": result.status.value,
         "lower_bound": result.lower_bound,
@@ -212,12 +209,46 @@ def _solve_one(task: dict) -> tuple[str, dict]:
     }
 
 
+def _verify_one(task: dict) -> tuple[bool, str, dict]:
+    size = infer_size(task["token"])
+    grid = parse_grid(task["token"], size)
+    puzzle = parse_puzzle(task["puzzle"], size)
+    if any(given and given != sol for given, sol in zip(puzzle.entries, grid.entries)):
+        status = "MISMATCH"
+    elif count_solutions(puzzle, 2) == 1:
+        status = "VALID"
+    else:
+        status = "INVALID(multiple)"
+    return status == "VALID", f"{task['instance_id']}: {status}", {"status": status}
+
+
+def _export_one(task: dict) -> tuple[bool, str, dict]:
+    instance_id = task["instance_id"]
+    grid = parse_grid(task["token"], infer_size(task["token"]))
+    cuts = load_collection(task["cuts_file"], grid) if task["cuts_file"] else None
+    files = export_bilevel(grid, cuts, task["out_dir"])
+    text = (
+        f"{instance_id}: {files.model_path} {files.aux_path}"
+        + (f" {files.cuts_path}" if files.cuts_path else "")
+        + f"\n{instance_id}: {files.variable_count} variables, "
+        f"{files.constraint_count} constraint rows"
+    )
+    return True, text, {
+        "status": "ok",
+        "iterations": files.constraint_count,
+        "nodes": files.variable_count,
+    }
+
+
 def _run_one(worker, task: dict) -> dict:
-    """One instance of one command; a failure becomes an error outcome."""
+    """One instance of one command; a failure becomes an error outcome.
+
+    A worker returns (ok, text, record): whether the instance passed, its
+    stdout lines, and its results-CSV fields.
+    """
     started = perf_counter()
     try:
-        text, record = worker(task)
-        ok = True
+        ok, text, record = worker(task)
     except Exception as exc:  # per-instance isolation
         text = f"{task['instance_id']}: ERROR {exc}"
         record = {"status": f"error:{type(exc).__name__}"}
@@ -296,81 +327,30 @@ def _cmd_verify(args) -> int:
             f"ERROR instance counts differ: {len(grids)} grids vs {len(puzzles)} puzzles"
         )
         return 1
-    worst = 0
-    for (gid, gtoken), (_pid, ptoken) in zip(grids, puzzles):
-        started = perf_counter()
-        try:
-            size = infer_size(gtoken)
-            grid = parse_grid(gtoken, size)
-            puzzle = parse_puzzle(ptoken, size)
-            mismatch = any(
-                given and given != sol
-                for given, sol in zip(puzzle.entries, grid.entries)
-            )
-            if mismatch:
-                status = "MISMATCH"
-            elif count_solutions(puzzle, 2) == 1:
-                status = "VALID"
-            else:
-                status = "INVALID(multiple)"
-        except GridError as exc:
-            print(f"{gid}: ERROR {exc}")
-            worst = 1
-            continue
-        print(f"{gid}: {status}")
-        _append_record(
-            args.results_csv,
-            {
-                "instance_id": gid,
-                "command": "verify",
-                "status": status,
-                "elapsed_seconds": f"{perf_counter() - started:.3f}",
-            },
-        )
-        if status != "VALID":
-            worst = 1
-    return worst
+    tasks = [
+        {"command": "verify", "instance_id": gid, "token": gtoken, "puzzle": ptoken}
+        for (gid, gtoken), (_pid, ptoken) in zip(grids, puzzles)
+    ]
+    return _run_tasks(args, _verify_one, tasks)
 
 
 def _cmd_export(args) -> int:
     instances = _instances(args.grid_file)
     many = len(instances) > 1
-    failed = 0
-    for instance_id, token in instances:
-        started = perf_counter()
-        try:
-            size = infer_size(token)
-            grid = parse_grid(token, size)
-            cuts = None
-            if args.cuts_file:
-                cuts = load_collection(args.cuts_file, grid)
-            out_dir = Path(args.out_dir)
-            if many:
-                out_dir = out_dir / f"instance_{instance_id.rsplit(':', 1)[1]}"
-            files = export_bilevel(grid, cuts, out_dir)
-            print(
-                f"{instance_id}: {files.model_path} {files.aux_path}"
-                + (f" {files.cuts_path}" if files.cuts_path else "")
-            )
-            print(
-                f"{instance_id}: {files.variable_count} variables, "
-                f"{files.constraint_count} constraint rows"
-            )
-            _append_record(
-                args.results_csv,
-                {
-                    "instance_id": instance_id,
-                    "command": "export",
-                    "status": "ok",
-                    "iterations": files.constraint_count,
-                    "nodes": files.variable_count,
-                    "elapsed_seconds": f"{perf_counter() - started:.3f}",
-                },
-            )
-        except Exception as exc:
-            print(f"{instance_id}: ERROR {exc}")
-            failed += 1
-    return 1 if failed else 0
+    out_dir = Path(args.out_dir)
+    tasks = [
+        {
+            "command": "export",
+            "instance_id": instance_id,
+            "token": token,
+            "cuts_file": args.cuts_file,
+            "out_dir": (
+                out_dir / f"instance_{instance_id.rsplit(':', 1)[1]}" if many else out_dir
+            ),
+        }
+        for instance_id, token in instances
+    ]
+    return _run_tasks(args, _export_one, tasks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid_file")
     p.add_argument("puzzle_file")
     p.add_argument("--results-csv", default=None)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, jobs=1)
 
     p = sub.add_parser("export", help="write bilevel model files")
     p.add_argument("grid_file")
     p.add_argument("--cuts-file", default=None)
     p.add_argument("--out-dir", default="model_out")
     p.add_argument("--results-csv", default=None)
-    p.set_defaults(func=_cmd_export)
+    p.set_defaults(func=_cmd_export, jobs=1)
 
     return parser
 

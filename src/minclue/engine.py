@@ -4,8 +4,15 @@ One private mutable state per call; every public function is reentrant and
 deterministic: most-constrained cell first, ties by (row, col), digits tried
 in ascending order. Every completion query (count, solve, alternate,
 enumeration) consumes the one propagating generator `_completions`, so they
-all see completions in the same search order. Budgets are enforced as exact node counts (optionally
-wall-clock time) and surface as SearchInterrupted, never as a wrong answer.
+all see completions in the same search order. Budgets are enforced as exact
+node counts (optionally wall-clock time) and surface as SearchInterrupted,
+never as a wrong answer.
+
+Both searches read the unit table `grid._Geometry`. One list `used` holds a
+digit mask per slot (row r, column n + c, box 2n + b); a cell's candidates
+are the digits missing from its three slots, and propagation scans the
+slots in `units`. Latin squares use the box-free table, whose box slots
+mirror the rows and are not scanned.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from math import isqrt
 from time import perf_counter
 from typing import Iterator, Optional, Sequence
 
-from .grid import Cell, CluePattern, Grid, GridError, Puzzle, apply_pattern
+from .grid import Cell, CluePattern, Grid, GridError, Puzzle, _Geometry, apply_pattern
 
 __all__ = [
     "SearchBudget",
@@ -90,75 +97,20 @@ class _Ticker:
                 raise SearchInterrupted("time", self.nodes)
 
 
-class _Geometry:
-    """Index tables for side n and box side s, cached by (n, s).
-
-    s = 0 means no boxes (Latin squares): the box family repeats the rows,
-    so it adds no constraint.
-    """
-
-    __slots__ = (
-        "n",
-        "s",
-        "cells",
-        "full",
-        "row_of",
-        "col_of",
-        "box_of",
-        "row_cells",
-        "col_cells",
-        "box_cells",
-    )
-
-    _cache: dict[tuple[int, int], "_Geometry"] = {}
-
-    def __init__(self, n: int, s: int):
-        self.n = n
-        self.s = s
-        self.cells = n * n
-        self.full = (1 << n) - 1
-        self.row_of = [i // n for i in range(self.cells)]
-        self.col_of = [i % n for i in range(self.cells)]
-        self.box_of = [
-            (self.row_of[i] // s) * s + self.col_of[i] // s if s else self.row_of[i]
-            for i in range(self.cells)
-        ]
-        self.row_cells = [[] for _ in range(n)]
-        self.col_cells = [[] for _ in range(n)]
-        self.box_cells = [[] for _ in range(n)]
-        for i in range(self.cells):
-            self.row_cells[self.row_of[i]].append(i)
-            self.col_cells[self.col_of[i]].append(i)
-            self.box_cells[self.box_of[i]].append(i)
-
-    @classmethod
-    def get(cls, n: int, s: int) -> "_Geometry":
-        geo = cls._cache.get((n, s))
-        if geo is None:
-            geo = cls(n, s)
-            cls._cache[(n, s)] = geo
-        return geo
-
-
 class _State:
-    """Unit bitmasks plus the current assignment, for one search."""
+    """Slot bitmasks plus the current assignment, for one search."""
 
-    __slots__ = ("geo", "values", "rows", "cols", "boxes", "empties")
+    __slots__ = ("geo", "values", "used", "empties")
 
     def __init__(self, geo: _Geometry, entries: Sequence[int]):
-        n = geo.n
         self.geo = geo
         self.values = list(entries)
-        self.rows = [0] * n
-        self.cols = [0] * n
-        self.boxes = [0] * n
+        self.used = [0] * len(geo.members)
         self.empties = []
         for i, v in enumerate(entries):
             if v:
-                bit = 1 << (v - 1)
-                self.rows[geo.row_of[i]] |= bit
-                self.cols[geo.col_of[i]] |= bit
-                self.boxes[geo.box_of[i]] |= bit
+                for slot in geo.slots[i]:
+                    self.used[slot] |= 1 << (v - 1)
             else:
                 self.empties.append(i)
 
@@ -173,37 +125,35 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
     """
     geo = state.geo
     values = state.values
-    rows, cols, boxes = state.rows, state.cols, state.boxes
-    row_of, col_of, box_of = geo.row_of, geo.col_of, geo.box_of
-    full = geo.full
+    used = state.used
+    slots, members, full = geo.slots, geo.members, geo.full
     tick = ticker.tick
     trail: list[tuple[int, int]] = []
 
     def undo() -> None:
         for i, bit in trail:
             values[i] = 0
-            rows[row_of[i]] ^= bit
-            cols[col_of[i]] ^= bit
-            boxes[box_of[i]] ^= bit
+            for slot in slots[i]:
+                used[slot] ^= bit
 
     def place(i: int, bit: int) -> None:
         tick()
         values[i] = bit.bit_length()
-        rows[row_of[i]] |= bit
-        cols[col_of[i]] |= bit
-        boxes[box_of[i]] |= bit
+        for slot in slots[i]:
+            used[slot] |= bit
         trail.append((i, bit))
 
-    def scan_unit(cells_u: list, used: int) -> int:
+    def scan_unit(cells_u: list, unit_used: int) -> int:
         """-1 contradiction, 0 no change, 1 placed a lone-home digit."""
-        needed = full & ~used
+        needed = full & ~unit_used
         if not needed:
             return 0
         acc1 = 0
         acc2 = 0
         for i in cells_u:
             if not values[i]:
-                cand = ~(rows[row_of[i]] | cols[col_of[i]] | boxes[box_of[i]]) & full
+                r, c, b = slots[i]
+                cand = ~(used[r] | used[c] | used[b]) & full
                 acc2 |= acc1 & cand
                 acc1 |= cand
         if needed & ~acc1:
@@ -214,12 +164,12 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
             bit = singles & -singles
             singles ^= bit
             for i in cells_u:
-                if not values[i] and (
-                    ~(rows[row_of[i]] | cols[col_of[i]] | boxes[box_of[i]]) & full & bit
-                ):
-                    place(i, bit)
-                    changed = 1
-                    break
+                if not values[i]:
+                    r, c, b = slots[i]
+                    if ~(used[r] | used[c] | used[b]) & bit:
+                        place(i, bit)
+                        changed = 1
+                        break
             else:
                 return -1
         return changed
@@ -229,25 +179,21 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
         for i in state.empties:
             if values[i]:
                 continue
-            cand = ~(rows[row_of[i]] | cols[col_of[i]] | boxes[box_of[i]]) & full
+            r, c, b = slots[i]
+            cand = ~(used[r] | used[c] | used[b]) & full
             if cand == 0:
                 undo()
                 return
             if not cand & (cand - 1):
                 place(i, cand)
                 assigned = True
-        for u in range(geo.n):
-            for cells_u, masks in (
-                (geo.row_cells[u], rows),
-                (geo.col_cells[u], cols),
-                (geo.box_cells[u], boxes),
-            ):
-                got = scan_unit(cells_u, masks[u])
-                if got < 0:
-                    undo()
-                    return
-                if got:
-                    assigned = True
+        for slot in geo.units:
+            got = scan_unit(members[slot], used[slot])
+            if got < 0:
+                undo()
+                return
+            if got:
+                assigned = True
         if not assigned:
             break
 
@@ -257,7 +203,8 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
     for i in state.empties:
         if values[i]:
             continue
-        cand = ~(rows[row_of[i]] | cols[col_of[i]] | boxes[box_of[i]]) & full
+        r, c, b = slots[i]
+        cand = ~(used[r] | used[c] | used[b]) & full
         count = cand.bit_count()
         if count < best_count:
             best, best_cand, best_count = i, cand, count
@@ -267,33 +214,32 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
         yield tuple(values)
         undo()
         return
-    r, c, b = row_of[best], col_of[best], box_of[best]
     cand = best_cand
     while cand:
         bit = cand & -cand
         cand ^= bit
         tick()
         values[best] = bit.bit_length()
-        rows[r] |= bit
-        cols[c] |= bit
-        boxes[b] |= bit
+        for slot in slots[best]:
+            used[slot] |= bit
         yield from _completions(state, ticker)
         values[best] = 0
-        rows[r] ^= bit
-        cols[c] ^= bit
-        boxes[b] ^= bit
+        for slot in slots[best]:
+            used[slot] ^= bit
     undo()
 
 
 def _solutions(
-    puzzle: Puzzle, budget: Optional[SearchBudget], stats: Optional[SearchStats]
+    geo: _Geometry,
+    entries: Sequence[int],
+    budget: Optional[SearchBudget],
+    stats: Optional[SearchStats],
 ) -> Iterator[tuple[int, ...]]:
-    """The puzzle's completions in search order under one budget; `stats`
-    is filled when the search ends, fails or is closed."""
+    """The completions of `entries` (0 = open) in search order under one
+    budget; `stats` is filled when the search ends, fails or is closed."""
     ticker = _Ticker(budget)
     try:
-        geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
-        yield from _completions(_State(geo, puzzle.entries), ticker)
+        yield from _completions(_State(geo, entries), ticker)
     finally:
         ticker.record(stats)
 
@@ -318,7 +264,8 @@ def count_solutions(
     """Exact number of completions if below `limit`, else `limit`."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    with closing(_solutions(puzzle, budget, stats)) as completions:
+    geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
+    with closing(_solutions(geo, puzzle.entries, budget, stats)) as completions:
         return sum(1 for _ in islice(completions, limit))
 
 
@@ -329,7 +276,8 @@ def iter_solutions(
 ) -> Iterator[Grid]:
     """Lazily enumerate every completion of the puzzle as Grid objects, in
     the same search order as solve_puzzle and count_solutions."""
-    with closing(_solutions(puzzle, budget, stats)) as completions:
+    geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
+    with closing(_solutions(geo, puzzle.entries, budget, stats)) as completions:
         for values in completions:
             yield Grid(puzzle.size, values)
 
@@ -340,7 +288,8 @@ def solve_puzzle(
     stats: Optional[SearchStats] = None,
 ) -> Optional[Grid]:
     """First completion in search order, or None when unsatisfiable."""
-    values = _first(_solutions(puzzle, budget, stats))
+    geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
+    values = _first(_solutions(geo, puzzle.entries, budget, stats))
     return None if values is None else Grid(puzzle.size, values)
 
 
@@ -355,7 +304,8 @@ def find_alternate(
     None means the pattern induces a puzzle whose unique solution is `grid`.
     """
     puzzle = apply_pattern(grid, pattern)
-    values = _first(_solutions(puzzle, budget, stats), skip=grid.entries)
+    geo = _Geometry.get(grid.size.n, grid.size.s)
+    values = _first(_solutions(geo, puzzle.entries, budget, stats), skip=grid.entries)
     return None if values is None else Grid(grid.size, values)
 
 
@@ -366,8 +316,8 @@ def latin_alternate(
     agrees with it on every revealed index, or None when there is none."""
     n = isqrt(len(target))
     entries = [v if i in revealed else 0 for i, v in enumerate(target)]
-    state = _State(_Geometry.get(n, 0), entries)
-    return _first(_completions(state, _Ticker(None)), skip=tuple(target))
+    geo = _Geometry.get(n, 0)
+    return _first(_solutions(geo, entries, None, None), skip=tuple(target))
 
 
 @dataclass(frozen=True)
@@ -412,26 +362,20 @@ class _DeviationSearch:
     def __init__(self, constraint: DeviationConstraint, ticker: _Ticker):
         grid = constraint.target
         geo = _Geometry.get(grid.size.n, grid.size.s)
-        n = geo.n
         self.geo = geo
         self.m = constraint.exact_deviations
         self.ticker = ticker
         self.target = list(grid.entries)
         self.off_target = [geo.full & ~(1 << (v - 1)) for v in self.target]
         self.state = _State(geo, [0] * geo.cells)
-        # target digits of the assigned cells per unit: the open cells can
+        # target digits of the assigned cells per slot: the open cells can
         # all keep their target digits iff these equal the placed digits
-        self.t_rows = [0] * n
-        self.t_cols = [0] * n
-        self.t_boxes = [0] * n
-        # digit placement of the target grid inside each unit
-        self.row_pos = [[0] * (n + 1) for _ in range(n)]
-        self.col_pos = [[0] * (n + 1) for _ in range(n)]
-        self.box_pos = [[0] * (n + 1) for _ in range(n)]
+        self.t_used = [0] * len(geo.members)
+        # pos[slot][v]: the cell holding target digit v in the slot
+        self.pos = [[0] * (geo.n + 1) for _ in geo.members]
         for i, v in enumerate(self.target):
-            self.row_pos[geo.row_of[i]][v] = i
-            self.col_pos[geo.col_of[i]][v] = i
-            self.box_pos[geo.box_of[i]][v] = i
+            for slot in geo.slots[i]:
+                self.pos[slot][v] = i
         self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
         self.path: list[int] = []  # the branching cell of each open frame
         self.deviating = 0  # deviating-cell mask at the last yield
@@ -469,15 +413,15 @@ class _DeviationSearch:
         deviations = deviating.bit_count()
         state = self.state
         values = state.values
-        rows, cols, boxes = state.rows, state.cols, state.boxes
+        used = state.used
         if deviations == m:
-            if rows == self.t_rows and cols == self.t_cols and boxes == self.t_boxes:
+            if used == self.t_used:
                 self.deviating = deviating
                 yield tuple(v or t for v, t in zip(values, self.target))
                 self.deviating = 0
             return
         geo = self.geo
-        row_of, col_of, box_of, full = geo.row_of, geo.col_of, geo.box_of, geo.full
+        slots, full = geo.slots, geo.full
         off_target = self.off_target
         best = -1
         best_cand = 0
@@ -486,7 +430,8 @@ class _DeviationSearch:
         for i in state.empties:
             if values[i]:
                 continue
-            cand = ~(rows[row_of[i]] | cols[col_of[i]] | boxes[box_of[i]]) & full
+            r, c, b = slots[i]
+            cand = ~(used[r] | used[c] | used[b]) & full
             if not cand:
                 return
             if cand & off_target[i]:
@@ -497,17 +442,17 @@ class _DeviationSearch:
         if deviations + deviatable < m:
             # includes a complete assignment with fewer than m deviations
             return
-        r, c, b = row_of[best], col_of[best], box_of[best]
+        cell_slots = slots[best]
+        r, c, b = cell_slots
         gv = self.target[best]
         gbit = 1 << (gv - 1)
         cell_bit = 1 << best
-        row_pos, col_pos, box_pos = self.row_pos[r], self.col_pos[c], self.box_pos[b]
+        pos, t_used = self.pos, self.t_used
         nogoods = self.nogoods_of[best]
         tick = self.ticker.tick
         self.path.append(best)
-        self.t_rows[r] |= gbit
-        self.t_cols[c] |= gbit
-        self.t_boxes[b] |= gbit
+        for slot in cell_slots:
+            t_used[slot] |= gbit
         cand = best_cand
         while cand:
             bit = cand & -cand
@@ -515,9 +460,8 @@ class _DeviationSearch:
             value = bit.bit_length()
             tick()
             values[best] = value
-            rows[r] |= bit
-            cols[c] |= bit
-            boxes[b] |= bit
+            for slot in cell_slots:
+                used[slot] |= bit
             if value == gv:
                 yield from self._search(
                     depth + 1, deviating, row_total, col_total, box_total
@@ -531,9 +475,9 @@ class _DeviationSearch:
                     # +1: the overwritten target digit is not yet elsewhere in
                     # the unit; -1: `value` was displaced from its own target
                     # cell in the unit and is now placed
-                    dr = (not rows[r] & gbit) - (values[row_pos[value]] != 0)
-                    dc = (not cols[c] & gbit) - (values[col_pos[value]] != 0)
-                    db = (not boxes[b] & gbit) - (values[box_pos[value]] != 0)
+                    dr = (not used[r] & gbit) - (values[pos[r][value]] != 0)
+                    dc = (not used[c] & gbit) - (values[pos[c][value]] != 0)
+                    db = (not used[b] & gbit) - (values[pos[b][value]] != 0)
                     bound = max(row_total + dr, col_total + dc, box_total + db)
                     if deviations + 1 + bound <= m:
                         yield from self._search(
@@ -544,17 +488,15 @@ class _DeviationSearch:
                             box_total + db,
                         )
             values[best] = 0
-            rows[r] ^= bit
-            cols[c] ^= bit
-            boxes[b] ^= bit
+            for slot in cell_slots:
+                used[slot] ^= bit
             if self.unwind <= depth:
                 if self.unwind < depth:
                     break
                 self.unwind = geo.cells
         self.path.pop()
-        self.t_rows[r] ^= gbit
-        self.t_cols[c] ^= gbit
-        self.t_boxes[b] ^= gbit
+        for slot in cell_slots:
+            t_used[slot] ^= gbit
 
 
 def find_deviating_grid(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .grid import Grid
+from .grid import Grid, _Geometry
 from .unavoidable import UnavoidableCollection
 
 __all__ = [
@@ -122,42 +122,15 @@ def _build_rows(g: Grid, cuts: Optional[UnavoidableCollection]) -> list[LpRow]:
                     1,
                 )
             )
-    for i in range(1, n + 1):
+    # G1 rows, G2 columns, G3 boxes: each digit once in each unit
+    for slot, cells in enumerate(_Geometry.get(n, s).members):
+        kind, u = divmod(slot, n)
+        unit = f"{u // s + 1}_{u % s + 1}" if kind == 2 else f"{u + 1}"
         for k in range(1, n + 1):
-            rows.append(
-                LpRow(
-                    f"G1_{i}_{k}",
-                    tuple((variable_name("x", n, i, j, k), 1) for j in range(1, n + 1)),
-                    "=",
-                    1,
-                )
+            terms = tuple(
+                (variable_name("x", n, i // n + 1, i % n + 1, k), 1) for i in cells
             )
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            rows.append(
-                LpRow(
-                    f"G2_{j}_{k}",
-                    tuple((variable_name("x", n, i, j, k), 1) for i in range(1, n + 1)),
-                    "=",
-                    1,
-                )
-            )
-    for p in range(1, s + 1):
-        for q in range(1, s + 1):
-            box = [
-                (i, j)
-                for i in range(s * p - s + 1, s * p + 1)
-                for j in range(s * q - s + 1, s * q + 1)
-            ]
-            for k in range(1, n + 1):
-                rows.append(
-                    LpRow(
-                        f"G3_{p}_{q}_{k}",
-                        tuple((variable_name("x", n, i, j, k), 1) for i, j in box),
-                        "=",
-                        1,
-                    )
-                )
+            rows.append(LpRow(f"G{kind + 1}_{unit}_{k}", terms, "=", 1))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             rows.append(

@@ -3,6 +3,12 @@
 Cells are 1-based (row, col), row major; row 1 is the top row of the usual
 diagram. Box (p, q) covers rows s*p-s+1 .. s*p and columns s*q-s+1 .. s*q.
 All types are immutable after construction and safe to share across threads.
+
+Which cells form a unit is decided once, in the unit table `_Geometry`:
+validation here, both searches in `engine` and the LP rows in `export` all
+read it. Cell i (0-based, row major) has three slots in one mask array:
+its row r, its column n + c and its box 2n + b, with b = (r // s) * s +
+c // s.
 """
 from __future__ import annotations
 
@@ -102,27 +108,55 @@ class Cell:
         return f"({self.row},{self.col})"
 
 
-def _scan_units(size: GridSize, entries: Sequence[int]) -> None:
-    """Raise ConstraintViolationError on the first repeated nonzero digit."""
-    n, s = size.n, size.s
-    rows = [0] * n
-    cols = [0] * n
-    boxes = [0] * n
+class _Geometry:
+    """The unit table of side n and box side s, cached by (n, s).
+
+    `slots[i]` is cell i's (row, column, box) slot triple, `members[slot]`
+    lists the slot's cells in index order, and `units` lists the slots that
+    constrain, in the order row u, column u, box u. s = 0 means no boxes
+    (Latin squares): slot 2n + r mirrors row r and is left out of `units`.
+    """
+
+    __slots__ = ("n", "cells", "full", "slots", "members", "units")
+
+    _cache: dict[tuple[int, int], "_Geometry"] = {}
+
+    def __init__(self, n: int, s: int):
+        self.n = n
+        self.cells = n * n
+        self.full = (1 << n) - 1
+        self.slots: list[tuple[int, int, int]] = []
+        self.members: list[list[int]] = [[] for _ in range(3 * n)]
+        for i in range(self.cells):
+            r, c = divmod(i, n)
+            cell_slots = (r, n + c, 2 * n + ((r // s) * s + c // s if s else r))
+            self.slots.append(cell_slots)
+            for slot in cell_slots:
+                self.members[slot].append(i)
+        self.units = [k * n + u for u in range(n) for k in range(3 if s else 2)]
+
+    @classmethod
+    def get(cls, n: int, s: int) -> "_Geometry":
+        geo = cls._cache.get((n, s))
+        if geo is None:
+            geo = cls(n, s)
+            cls._cache[(n, s)] = geo
+        return geo
+
+
+def _scan_units(geo: _Geometry, entries: Sequence[int]) -> None:
+    """Raise ConstraintViolationError on the first repeated nonzero digit,
+    checking each cell's row, column and box in turn."""
+    n = geo.n
+    seen = [0] * (3 * n)
     for i, digit in enumerate(entries):
-        if digit == 0:
-            continue
-        r, c = divmod(i, n)
-        b = (r // s) * s + (c // s)
-        bit = 1 << digit
-        if rows[r] & bit:
-            raise ConstraintViolationError("row", r + 1, digit)
-        if cols[c] & bit:
-            raise ConstraintViolationError("col", c + 1, digit)
-        if boxes[b] & bit:
-            raise ConstraintViolationError("box", b + 1, digit)
-        rows[r] |= bit
-        cols[c] |= bit
-        boxes[b] |= bit
+        if digit:
+            bit = 1 << digit
+            for slot in geo.slots[i]:
+                if seen[slot] & bit:
+                    kind = ("row", "col", "box")[slot // n]
+                    raise ConstraintViolationError(kind, slot % n + 1, digit)
+                seen[slot] |= bit
 
 
 def _check_entries(size: GridSize, entries: Sequence[int], allow_empty: bool) -> tuple[int, ...]:
@@ -135,7 +169,7 @@ def _check_entries(size: GridSize, entries: Sequence[int], allow_empty: bool) ->
     for v in entries:
         if not (low <= v <= size.n):
             raise IllegalCharacterError(f"entry {v} outside [{low}, {size.n}]")
-    _scan_units(size, entries)
+    _scan_units(_Geometry.get(size.n, size.s), entries)
     return entries
 
 

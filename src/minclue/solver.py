@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isqrt
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +25,7 @@ from .engine import (
     find_alternate,
     latin_alternate,
 )
-from .grid import Cell, CluePattern, Grid, apply_pattern
+from .grid import Cell, CluePattern, Grid, _Geometry, _scan_units, apply_pattern
 from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
 from .unavoidable import (
     FingerprintMismatchError,
@@ -127,11 +128,17 @@ class _LoopBudget:
 
     def call_budget(self) -> SearchBudget:
         self.check()
+        return self.share(1)
+
+    def share(self, parts: int) -> SearchBudget:
+        """One of `parts` equal shares of what is left of the budget."""
         remaining_time = (
-            self.deadline - perf_counter() if self.deadline is not None else None
+            (self.deadline - perf_counter()) / parts if self.deadline is not None else None
         )
         remaining_nodes = (
-            self.max_nodes - self.used_nodes if self.max_nodes is not None else None
+            (self.max_nodes - self.used_nodes) // parts
+            if self.max_nodes is not None
+            else None
         )
         return SearchBudget(max_nodes=remaining_nodes, max_time=remaining_time)
 
@@ -288,8 +295,9 @@ def _ihs_loop(
 def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     """Minimum number of clues (with witness pattern) pinning g uniquely.
 
-    Seeds the cut family from the unavoidable-set generator, which may spend
-    at most half of a time budget, then runs the hitting-set loop to
+    Seeds the cut family from `config.seed_collection` or else from the
+    unavoidable-set generator, which may spend at most half of the time and
+    half of the nodes of the budget, then runs the hitting-set loop to
     optimality or budget exhaustion. The result's certificate collection
     contains every cut used, each a minimal unavoidable set of g.
     """
@@ -297,31 +305,26 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     budget = _LoopBudget(cfg.solve_budget)
     started = perf_counter()
 
-    seeds: list[frozenset] = []
     seed_records: list[SetRecord] = []
-    if cfg.seed_collection is not None and cfg.initial_cuts > 0:
-        if cfg.seed_collection.fingerprint != grid_fingerprint(g):
+    if cfg.initial_cuts > 0:
+        seeded = cfg.seed_collection
+        if seeded is None:
+            gen_limits = GenerationLimits(
+                max_sets=min(cfg.initial_cuts, cfg.generation_limits.max_sets),
+                max_size=cfg.generation_limits.max_size,
+            )
+            gen_stats = SearchStats()
+            seeded = generate_all(
+                g, gen_limits, stats=gen_stats, budget=budget.share(2)
+            )
+            budget.charge(gen_stats)
+            log.debug("seeded %d cuts in %.2fs", len(seeded), gen_stats.elapsed)
+        elif seeded.fingerprint != grid_fingerprint(g):
             raise FingerprintMismatchError(
                 "seed collection was generated from a different grid"
             )
-        seed_records = list(cfg.seed_collection.records[: cfg.initial_cuts])
-        seeds = [rec.cells.as_frozenset() for rec in seed_records]
-    elif cfg.initial_cuts > 0:
-        solve_time = cfg.solve_budget.max_time
-        gen_limits = GenerationLimits(
-            max_sets=min(cfg.initial_cuts, cfg.generation_limits.max_sets),
-            max_size=cfg.generation_limits.max_size,
-            max_time=_min_opt(
-                cfg.generation_limits.max_time,
-                None if solve_time is None else solve_time / 2,
-            ),
-        )
-        gen_stats = SearchStats()
-        seeded = generate_all(g, gen_limits, stats=gen_stats)
-        budget.charge(gen_stats)
-        seed_records = list(seeded.records)
-        seeds = seeded.family()
-        log.debug("seeded %d cuts in %.2fs", len(seeds), gen_stats.elapsed)
+        seed_records = list(seeded.records[: cfg.initial_cuts])
+    seeds = [rec.cells.as_frozenset() for rec in seed_records]
 
     def find_diff(revealed: frozenset, loop_budget: _LoopBudget) -> Optional[frozenset]:
         stats = SearchStats()
@@ -367,14 +370,6 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
         trace=outcome.trace,
         nodes=outcome.nodes,
     )
-
-
-def _min_opt(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 @dataclass(frozen=True)
@@ -427,15 +422,11 @@ def fcp_solve(instance: FcpInstance, config: Optional[MscpConfig] = None) -> Fcp
 def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
     """Fewest-clue instance for an order-n Latin square (no box constraint)."""
     target = tuple(int(v) for v in square)
-    l = len(target)
-    n = 1
-    while n * n < l:
-        n += 1
-    if n * n != l:
+    n = isqrt(len(target))
+    if n < 1 or n * n != len(target):
         raise ValueError("square length is not a perfect square")
-    for i in range(n):
-        row = target[i * n : (i + 1) * n]
-        col = target[i::n]
-        if sorted(row) != list(range(1, n + 1)) or sorted(col) != list(range(1, n + 1)):
-            raise ValueError("target is not a Latin square over 1..n")
+    if not all(1 <= v <= n for v in target):
+        raise ValueError("target is not a Latin square over 1..n")
+    # n symbols, none repeated in a row or column
+    _scan_units(_Geometry.get(n, 0), target)
     return FcpInstance(target, lambda revealed: latin_alternate(target, revealed))

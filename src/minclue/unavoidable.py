@@ -180,7 +180,6 @@ class GenerationLimits:
 
     max_sets: int = 5000
     max_size: Optional[int] = None
-    max_time: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_sets < 1:
@@ -237,6 +236,7 @@ def generate_all(
     limits: GenerationLimits = GenerationLimits(),
     progress: Optional[Callable[[int, int, float], None]] = None,
     stats: Optional[SearchStats] = None,
+    budget: Optional[SearchBudget] = None,
 ) -> UnavoidableCollection:
     """Enumerate minimal unavoidable sets in nondecreasing size order.
 
@@ -245,11 +245,12 @@ def generate_all(
     the search resumes from where it stopped instead of restarting.
     Excluding emitted sets guarantees each new set is itself minimal, so no
     shrinking pass is needed. `progress` receives (set_index, m, seconds)
-    per emitted set. A time limit cuts the run short and flags the
-    collection incomplete rather than returning a wrong answer.
+    per emitted set. The node and time `budget` covers the whole run; using
+    it up cuts the run short and flags the collection incomplete rather
+    than returning a wrong answer.
     """
     collection = UnavoidableCollection(grid_fingerprint(g), g.size.n)
-    ticker = _Ticker(SearchBudget(max_time=limits.max_time))
+    ticker = _Ticker(budget)
     max_size = limits.max_size if limits.max_size is not None else g.size.cell_count
     max_size = min(max_size, g.size.cell_count)
     try:

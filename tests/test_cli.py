@@ -197,6 +197,24 @@ class TestResultsCsv:
         with open(results) as fh:
             assert fh.readline().strip() == ",".join(RESULT_FIELDS)
 
+    def test_failed_verify_and_export_write_error_rows(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        g = write(tmp_path / "g.txt", FIG_GRID_TEXT)
+        p = write(tmp_path / "p.txt", "x" + FIG_PUZZLE_TEXT[1:])
+        assert main(["verify", g, p, "--results-csv", str(results)]) == 1
+        bad = write(tmp_path / "bad.txt", "1134341221434321")  # 1 twice in row 1
+        out_dir = str(tmp_path / "m")
+        code = main(["export", bad, "--out-dir", out_dir, "--results-csv", str(results)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "g.txt:1: ERROR" in out and "bad.txt:1: ERROR" in out
+        with open(results) as fh:
+            rows = [(r["instance_id"], r["command"], r["status"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            ("g.txt:1", "verify", "error:IllegalCharacterError"),
+            ("bad.txt:1", "export", "error:ConstraintViolationError"),
+        ]
+
     def test_one_record_per_run(self, tmp_path, grid4_file):
         results = tmp_path / "results.csv"
         for _ in range(3):

@@ -90,6 +90,33 @@ class TestRoundTrip:
         assert rows["N1"] == n1 + " - z <= 80"
         assert rows["V1"] == "z = 1"
 
+    def test_unit_rows(self, figure_grid, tmp_path):
+        rows = named_rows(export_bilevel(figure_grid, None, tmp_path).model_path)
+        assert rows["G1_2_5"] == (
+            "x_2_1_5 + x_2_2_5 + x_2_3_5 + x_2_4_5 + x_2_5_5 + x_2_6_5 + x_2_7_5"
+            " + x_2_8_5 + x_2_9_5 = 1"
+        )
+        assert rows["G2_3_7"] == (
+            "x_1_3_7 + x_2_3_7 + x_3_3_7 + x_4_3_7 + x_5_3_7 + x_6_3_7 + x_7_3_7"
+            " + x_8_3_7 + x_9_3_7 = 1"
+        )
+        assert rows["G3_2_3_5"] == (
+            "x_4_7_5 + x_4_8_5 + x_4_9_5 + x_5_7_5 + x_5_8_5 + x_5_9_5 + x_6_7_5"
+            " + x_6_8_5 + x_6_9_5 = 1"
+        )
+
+    def test_row_order_4x4(self, grid4_objects, tmp_path):
+        rows = named_rows(export_bilevel(grid4_objects[0], None, tmp_path).model_path)
+        r4 = range(1, 5)
+        want = ["obj"]
+        want += [f"G0_{i}_{j}" for i in r4 for j in r4]
+        want += [f"G1_{i}_{k}" for i in r4 for k in r4]
+        want += [f"G2_{j}_{k}" for j in r4 for k in r4]
+        want += [f"G3_{p}_{q}_{k}" for p in (1, 2) for q in (1, 2) for k in r4]
+        want += [f"F1_{i}_{j}" for i in r4 for j in r4]
+        want += ["N1", "V1"]
+        assert list(rows) == want
+
     def test_clue_fixing_rows_follow_the_grid(self, grid4_objects, figure_grid, tmp_path):
         for k, grid in enumerate((grid4_objects[33], figure_grid)):
             rows = named_rows(export_bilevel(grid, None, tmp_path / str(k)).model_path)

@@ -1,8 +1,8 @@
 import random
+from math import isqrt
 
 import pytest
 
-import oracle
 from conftest import FIG_GRID_TEXT, FIG_PUZZLE_TEXT
 from minclue import (
     Cell,
@@ -20,25 +20,27 @@ from minclue import (
     parse_puzzle,
     serialize,
 )
-from minclue.grid import infer_size, iter_instance_lines
+from minclue.grid import _Geometry, infer_size, iter_instance_lines
+
+
+def unit_cells(n, s):
+    """Rows, columns and boxes as row-major cell-index lists, built
+    independently of the library."""
+    rows = [[r * n + c for c in range(n)] for r in range(n)]
+    cols = [[r * n + c for r in range(n)] for c in range(n)]
+    boxes = [
+        [r * n + c for r in range(br, br + s) for c in range(bc, bc + s)]
+        for br in range(0, n, s)
+        for bc in range(0, n, s)
+    ]
+    return rows, cols, boxes
 
 
 def recount_units(size, entries):
     """Plain recount of all 4n^2 unit constraints, independent of the library."""
-    n, s = size.n, size.s
-    rows = [[entries[r * n + c] for c in range(n)] for r in range(n)]
-    cols = [[entries[r * n + c] for r in range(n)] for c in range(n)]
-    boxes = [
-        [
-            entries[r * n + c]
-            for r in range(br, br + s)
-            for c in range(bc, bc + s)
-        ]
-        for br in range(0, n, s)
-        for bc in range(0, n, s)
-    ]
-    want = list(range(1, n + 1))
-    return all(sorted(unit) == want for unit in rows + cols + boxes)
+    rows, cols, boxes = unit_cells(size.n, size.s)
+    want = list(range(1, size.n + 1))
+    return all(sorted(entries[i] for i in unit) == want for unit in rows + cols + boxes)
 
 
 class TestGridSize:
@@ -93,6 +95,12 @@ class TestParseGrid:
         with pytest.raises(ConstraintViolationError) as err:
             parse_grid("1134341221434321", size4)
         assert err.value.unit == "row" and err.value.digit == 1
+
+    def test_column_violation(self, size4):
+        # rows are clean; (4,1) repeats the 1 of column 1 before its box does
+        with pytest.raises(ConstraintViolationError) as err:
+            parse_grid("1234341221431234", size4)
+        assert (err.value.unit, err.value.index, err.value.digit) == ("col", 1, 1)
 
     def test_box_violation(self, size4):
         # rows and columns are clean; only the top-left box repeats digits
@@ -197,6 +205,26 @@ class TestBigBoards:
         entries[255] = 0
         puzzle = Puzzle(size, entries)
         assert parse_puzzle(serialize(puzzle), size) == puzzle
+
+
+class TestUnitTable:
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_scans_exactly_rows_columns_and_boxes(self, n):
+        geo = _Geometry.get(n, isqrt(n))
+        rows, cols, boxes = unit_cells(n, isqrt(n))
+        want = [unit for u in range(n) for unit in (rows[u], cols[u], boxes[u])]
+        assert [geo.members[slot] for slot in geo.units] == want
+        # each cell lies in exactly its row, column and box
+        for i, cell_slots in enumerate(geo.slots):
+            assert [i in geo.members[slot] for slot in range(3 * n)].count(True) == 3
+            assert all(i in geo.members[slot] for slot in cell_slots)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_latin_table_scans_rows_and_columns(self, n):
+        geo = _Geometry.get(n, 0)
+        rows, cols, _ = unit_cells(n, 1)
+        want = [unit for u in range(n) for unit in (rows[u], cols[u])]
+        assert [geo.members[slot] for slot in geo.units] == want
 
 
 class TestInstanceFiles:

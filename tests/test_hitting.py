@@ -6,7 +6,6 @@ import oracle
 from conftest import BLUE, GREEN, RED
 from minclue import (
     Cell,
-    GridSize,
     HittingInstance,
     SearchBudget,
     disjoint_packing_bound,

@@ -1,19 +1,18 @@
-import random
-
 import pytest
 
 import oracle
 from conftest import GREEN
 from minclue import (
-    Cell,
     CluePattern,
     FcpInstance,
     GenerationLimits,
-    GridSize,
+    HittingInstance,
     MscpConfig,
     MscpStatus,
     SearchBudget,
+    disjoint_packing_bound,
     fcp_solve,
+    generate_all,
     latin_square_fcp_instance,
     solve_mscp,
     verify_validity,
@@ -94,8 +93,6 @@ class TestSolveMscp4x4:
         assert all(chosen & member for member in result.certificate.family())
 
     def test_seed_collection_reuse(self, grid4_objects):
-        from minclue import generate_all
-
         grid = grid4_objects[11]
         coll = generate_all(grid, GenerationLimits(max_sets=10))
         result = solve_mscp(
@@ -107,7 +104,7 @@ class TestSolveMscp4x4:
         ]
 
     def test_seed_collection_wrong_grid(self, grid4_objects):
-        from minclue import FingerprintMismatchError, generate_all
+        from minclue import FingerprintMismatchError
 
         coll = generate_all(grid4_objects[11], GenerationLimits(max_sets=5))
         with pytest.raises(FingerprintMismatchError):
@@ -143,17 +140,38 @@ class TestBudgetedSolve:
         assert result.best_pattern.cardinality() == result.upper_bound
 
     def test_generator_spending_the_budget_keeps_seed_lower_bound(self, figure_grid):
-        # the generator alone uses up the node budget, so the loop never
-        # solves a hitting set; the seed cuts still bound the optimum
+        # the first four size-4 sets cost 8100, 8227, 8285 and 8404 generator
+        # nodes, so seeding's half of 16,700 nodes ends after three of them;
+        # the loop starts from their packing bound
+        limits = GenerationLimits(max_sets=4, max_size=4)
         cfg = MscpConfig(
             initial_cuts=4,
-            generation_limits=GenerationLimits(max_sets=4, max_size=4),
-            solve_budget=SearchBudget(max_nodes=1000),
+            generation_limits=limits,
+            solve_budget=SearchBudget(max_nodes=16_700),
         )
         result = solve_mscp(figure_grid, cfg)
-        assert result.status is MscpStatus.INTERRUPTED
-        assert len(result.certificate) == 4
-        assert 0 < result.lower_bound <= 17 <= result.upper_bound
+        seeded = generate_all(figure_grid, limits, budget=SearchBudget(max_nodes=8_350))
+        assert len(seeded) == 3 and not seeded.complete
+        assert [r.cells for r in result.certificate.records[:3]] == [
+            r.cells for r in seeded.records
+        ]
+        packing = disjoint_packing_bound(
+            HittingInstance.build(figure_grid.size.all_cells(), seeded.family())
+        )
+        assert 0 < packing <= result.trace[0].lower
+        assert result.lower_bound <= 17 <= result.upper_bound
+
+    def test_seeding_obeys_the_node_budget(self, figure_grid):
+        # seeding may spend half of the nodes; each phase that runs out
+        # stops one node past its limit. The time limit only keeps a solver
+        # that ignores the node budget from running for minutes.
+        budget = SearchBudget(max_nodes=20_000, max_time=20)
+        result = solve_mscp(figure_grid, MscpConfig(solve_budget=budget))
+        assert result.status is MscpStatus.BOUNDS_ONLY
+        assert 20_000 <= result.nodes <= 20_000 + 2
+        assert result.lower_bound <= 17 <= result.upper_bound
+        assert verify_validity(figure_grid, result.best_pattern)
+        assert result.best_pattern.cardinality() == result.upper_bound
 
     def test_figure_grid_node_budget_reaches_lower_9(self, figure_grid):
         cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000))

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-import oracle
-from conftest import BLUE, GREEN, RED, cells_of_mask
+from conftest import BLUE, GREEN, RED
 from minclue import (
     Cell,
     CluePattern,
@@ -12,9 +11,9 @@ from minclue import (
     FingerprintMismatchError,
     GenerationLimits,
     Grid,
-    GridSize,
     IdenticalGridsError,
     NotUnavoidableError,
+    SearchBudget,
     SearchStats,
     UnavoidableSet,
     diff_cells,
@@ -172,8 +171,22 @@ class TestGenerateAll:
             GenerationLimits(max_sets=0)
 
     def test_time_limit_marks_incomplete(self, figure_grid):
-        coll = generate_all(figure_grid, GenerationLimits(max_sets=5000, max_time=0.3))
+        coll = generate_all(
+            figure_grid, GenerationLimits(max_sets=5000), budget=SearchBudget(max_time=0.3)
+        )
         assert not coll.complete
+
+    def test_node_limit_marks_incomplete(self, figure_grid):
+        # the first size-4 set costs 8100 nodes
+        stats = SearchStats()
+        coll = generate_all(
+            figure_grid,
+            GenerationLimits(max_sets=5000),
+            stats=stats,
+            budget=SearchBudget(max_nodes=8_000),
+        )
+        assert not coll.complete and len(coll) == 0
+        assert stats.nodes == 8_001
 
 
 class TestProposition1Sampled:
