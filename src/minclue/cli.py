@@ -168,10 +168,7 @@ def _solve_one(task: dict) -> tuple[bool, str, dict]:
         seed_collection = load_collection(task["cuts_file"], grid)
     config = MscpConfig(
         initial_cuts=task["seed_cuts"],
-        generation_limits=GenerationLimits(
-            max_sets=max(task["seed_cuts"], 1),
-            max_size=task["max_cut_size"],
-        ),
+        max_cut_size=task["max_cut_size"],
         solve_budget=parse_budget(task["budget"]),
         seed_collection=seed_collection,
     )

@@ -257,14 +257,6 @@ class CluePattern:
             )
 
     @classmethod
-    def from_cells(cls, size: GridSize, cells: Iterable[Cell]) -> "CluePattern":
-        mask = [False] * size.cell_count
-        for cell in cells:
-            size.check_cell(cell)
-            mask[(cell.row - 1) * size.n + (cell.col - 1)] = True
-        return cls(size, mask)
-
-    @classmethod
     def all_cells(cls, size: GridSize) -> "CluePattern":
         return cls(size, [True] * size.cell_count)
 

@@ -1,21 +1,27 @@
-"""Exact minimum-clue solving via an implicit hitting-set loop.
+"""Exact fewest-clue solving via an implicit hitting-set loop.
 
-The loop alternates two exact procedures: a minimum hitting set over the
-cut family collected so far (its value is a true lower bound, since every
-valid clue pattern must hit every unavoidable set), and an adversarial
-search for an alternate solution under the candidate clue set. Either the
-adversary fails, which proves the candidate is a valid puzzle of minimum
-size, or its answer yields a new minimal cut and the loop repeats. The same
-loop solves any fewest-clue problem given an alternate-certificate oracle.
+The loop works on the indices 0..L-1 of a target certificate and alternates
+two exact procedures: a minimum hitting set over the cut family collected
+so far (its value is a true lower bound, since every valid clue set must
+hit every unavoidable set), and an oracle that looks for an alternate
+certificate agreeing with the target on the candidate clue set. Either the
+oracle finds none, which proves the candidate is a valid clue set of
+minimum size, or the indices where its answer differs yield a new minimal
+cut and the loop repeats; every oracle answer is checked. Callers:
+`solve_mscp` (a Sudoku grid's cells in row-major order, oracle
+`find_alternate`), and `fcp_solve` on `latin_square_fcp_instance` or on
+any user-built `FcpInstance`.
 """
 from __future__ import annotations
 
 import logging
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from math import isqrt
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .engine import (
     SearchBudget,
@@ -25,11 +31,12 @@ from .engine import (
     find_alternate,
     latin_alternate,
 )
-from .grid import Cell, CluePattern, Grid, _Geometry, _scan_units, apply_pattern
+from .grid import CluePattern, Grid, _Geometry, _scan_units, apply_pattern
 from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
 from .unavoidable import (
     FingerprintMismatchError,
     GenerationLimits,
+    NotUnavoidableError,
     SetRecord,
     UnavoidableCollection,
     UnavoidableSet,
@@ -53,6 +60,8 @@ __all__ = [
 
 log = logging.getLogger("minclue.solver")
 
+T = TypeVar("T")
+
 
 class MscpStatus(Enum):
     OPTIMAL = "optimal"
@@ -66,11 +75,13 @@ class MscpInternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class MscpConfig:
+    """Options of one solve_mscp run: `initial_cuts` seed cuts, taken from
+    `seed_collection` or else from the generator with at most `max_cut_size`
+    cells each (no cap when None); `solve_budget` covers the whole run."""
+
     initial_cuts: int = 1000
-    generation_limits: GenerationLimits = field(default_factory=GenerationLimits)
+    max_cut_size: Optional[int] = None
     solve_budget: SearchBudget = field(default_factory=SearchBudget)
-    # pre-generated cuts to seed from instead of running the generator;
-    # the first `initial_cuts` members are used
     seed_collection: Optional[UnavoidableCollection] = None
 
 
@@ -106,12 +117,8 @@ def verify_validity(
     return count_solutions(apply_pattern(g, pattern), 2, budget) == 1
 
 
-class _Expired(Exception):
-    pass
-
-
 class _LoopBudget:
-    """Wall clock and cumulative node budget shared across loop phases."""
+    """Wall clock and cumulative node budget shared by the phases of a solve."""
 
     def __init__(self, budget: SearchBudget):
         self.deadline = (
@@ -120,18 +127,14 @@ class _LoopBudget:
         self.max_nodes = budget.max_nodes
         self.used_nodes = 0
 
-    def check(self) -> None:
+    def spend(self, search: Callable[[SearchBudget, SearchStats], T], parts: int = 1) -> T:
+        """`search(share, stats)` on one of `parts` equal shares of what is
+        left, charged with the nodes it reports; raises SearchInterrupted,
+        without searching, once the budget is used up."""
         if self.deadline is not None and perf_counter() > self.deadline:
-            raise _Expired
+            raise SearchInterrupted("time", self.used_nodes)
         if self.max_nodes is not None and self.used_nodes >= self.max_nodes:
-            raise _Expired
-
-    def call_budget(self) -> SearchBudget:
-        self.check()
-        return self.share(1)
-
-    def share(self, parts: int) -> SearchBudget:
-        """One of `parts` equal shares of what is left of the budget."""
+            raise SearchInterrupted("nodes", self.used_nodes)
         remaining_time = (
             (self.deadline - perf_counter()) / parts if self.deadline is not None else None
         )
@@ -140,10 +143,12 @@ class _LoopBudget:
             if self.max_nodes is not None
             else None
         )
-        return SearchBudget(max_nodes=remaining_nodes, max_time=remaining_time)
-
-    def charge(self, stats: SearchStats) -> None:
-        self.used_nodes += stats.nodes
+        share = SearchBudget(max_nodes=remaining_nodes, max_time=remaining_time)
+        stats = SearchStats()
+        try:
+            return search(share, stats)
+        finally:
+            self.used_nodes += stats.nodes
 
 
 @dataclass
@@ -183,27 +188,49 @@ def _shrink(
     return keep
 
 
+_Alternate = Callable[[frozenset, SearchBudget, SearchStats], Optional[Sequence]]
+
+
+def _alternate_diff(
+    target: tuple, alternate: _Alternate, budget: _LoopBudget, revealed: frozenset
+) -> Optional[frozenset]:
+    """Indices where `alternate(revealed, share, stats)` differs from the
+    target, or None when it finds no other certificate that agrees with the
+    target on every revealed index; the one check of every alternate."""
+    alt = budget.spend(lambda share, stats: alternate(revealed, share, stats))
+    if alt is None:
+        return None
+    alt = tuple(alt)
+    if len(alt) != len(target):
+        raise ValueError("alternate certificate has wrong length")
+    diff = frozenset(i for i, (a, b) in enumerate(zip(alt, target)) if a != b)
+    if not diff:
+        raise ValueError("alternate certificate equals the target")
+    if diff & revealed:
+        raise ValueError("alternate certificate violates the revealed clue")
+    return diff
+
+
 def _ihs_loop(
-    universe: Sequence,
-    find_diff: Callable[[frozenset, _LoopBudget], Optional[frozenset]],
+    target: tuple,
+    alternate: _Alternate,
     seeds: list[frozenset],
     budget: _LoopBudget,
+    started: float,
 ) -> FcpResult:
-    """Implicit hitting-set loop shared by the Sudoku and generic paths.
+    """Implicit hitting-set loop over the indices 0..len(target)-1.
 
-    `find_diff(revealed, budget)` returns the index/cell set on which some
-    alternate solution differs, or None when the revealed set pins the
-    target uniquely.
+    `seeds` are index sets known to be unavoidable. Trace times count from
+    `started`, the caller's clock; iteration i is always `trace[i - 1]`,
+    and a cut the loop adds in iteration i is `certificate[len(seeds) + i - 1]`.
     """
-    started = perf_counter()
-    universe = tuple(sorted(universe))
-    universe_set = frozenset(universe)
+    universe = frozenset(range(len(target)))
+    find_diff = partial(_alternate_diff, target, alternate, budget)
     cuts: list[frozenset] = list(seeds)
-    incumbent = universe_set
+    incumbent = universe
     upper = len(incumbent)
     # sound before any exact solve, so a loop stopped early still reports it
     lower = disjoint_packing_bound(HittingInstance.build(universe, cuts))
-    solved_once = False
     trace: list[TraceEntry] = []
     iteration = 0
     last_repair_lower = -1
@@ -213,38 +240,30 @@ def _ihs_loop(
             TraceEntry(it, lower, upper, len(cuts), perf_counter() - started)
         )
 
-    def repair(start: frozenset, first_diff: frozenset) -> Optional[frozenset]:
-        cells = set(start)
-        diff = first_diff
-        while len(cells) < len(universe):
+    def repair(cells: set, diff: Optional[frozenset]) -> frozenset:
+        # each diff avoids the revealed indices, so this ends by the full reveal
+        while diff is not None:
             cells.add(min(diff))
-            nxt = find_diff(frozenset(cells), budget)
-            if nxt is None:
-                return frozenset(cells)
-            diff = nxt
-        return frozenset(universe)
+            diff = find_diff(frozenset(cells))
+        return frozenset(cells)
 
-    status = MscpStatus.BOUNDS_ONLY
+    status = MscpStatus.INTERRUPTED  # until the first exact hitting set
     try:
         while True:
             iteration += 1
-            stats = SearchStats()
-            solution = min_hitting_set(
-                HittingInstance.build(universe, cuts),
-                upper_hint=upper,
-                budget=budget.call_budget(),
-                stats=stats,
-                lower_hint=lower,
+            solution = budget.spend(
+                lambda share, stats: min_hitting_set(
+                    HittingInstance.build(universe, cuts),
+                    upper_hint=upper,
+                    budget=share,
+                    stats=stats,
+                    lower_hint=lower,
+                )
             )
-            budget.charge(stats)
             if not solution.proven_optimal:
                 lower = max(lower, solution.lower_bound)
-                status = (
-                    MscpStatus.BOUNDS_ONLY if solved_once else MscpStatus.INTERRUPTED
-                )
-                note(iteration)
-                break
-            solved_once = True
+                raise SearchInterrupted("hitting set", budget.used_nodes)
+            status = MscpStatus.BOUNDS_ONLY
             if solution.value < lower:
                 raise MscpInternalError(
                     "hitting-set optimum decreased as the family grew"
@@ -258,34 +277,29 @@ def _ihs_loop(
                 len(cuts),
             )
             if lower >= upper:
-                status = MscpStatus.OPTIMAL
-                note(iteration)
                 break
             candidate = frozenset(solution.cells)
-            diff = find_diff(candidate, budget)
+            diff = find_diff(candidate)
             if diff is None:
                 incumbent = candidate
                 upper = lower
-                status = MscpStatus.OPTIMAL
-                note(iteration)
                 break
-            cut = _shrink(diff, lambda trial: find_diff(universe_set - trial, budget))
-            if not cut or cut & candidate:
-                raise MscpInternalError("cut does not separate the hitting set")
+            cut = _shrink(diff, lambda trial: find_diff(universe - trial))
             for existing in cuts:
                 if existing <= cut or cut <= existing:
                     raise MscpInternalError("cut already implied by the certificate")
             cuts.append(cut)
             if lower + 1 < upper and lower > last_repair_lower:
                 last_repair_lower = lower
-                repaired = repair(candidate, diff)
-                if repaired is not None and len(repaired) < upper:
+                repaired = repair(set(candidate), diff)
+                if len(repaired) < upper:
                     incumbent = repaired
                     upper = len(repaired)
             note(iteration)
-    except _Expired:
-        status = MscpStatus.BOUNDS_ONLY if solved_once else MscpStatus.INTERRUPTED
-        note(iteration)
+        status = MscpStatus.OPTIMAL
+    except SearchInterrupted:
+        pass
+    note(iteration)
 
     return FcpResult(
         status, incumbent, upper, lower, tuple(cuts), iteration, trace, budget.used_nodes
@@ -295,74 +309,66 @@ def _ihs_loop(
 def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     """Minimum number of clues (with witness pattern) pinning g uniquely.
 
-    Seeds the cut family from `config.seed_collection` or else from the
-    unavoidable-set generator, which may spend at most half of the time and
-    half of the nodes of the budget, then runs the hitting-set loop to
-    optimality or budget exhaustion. The result's certificate collection
-    contains every cut used, each a minimal unavoidable set of g.
+    Runs the hitting-set loop over g's cells in row-major index order,
+    with `find_alternate` as its oracle. The cut family is seeded from
+    `config.seed_collection`, whose sets are each checked to be unavoidable
+    first, or else from the unavoidable-set generator, which may spend at
+    most half of the time and half of the nodes of the budget. One clock
+    runs from the call: trace times and the `seconds` of each loop cut
+    include the seeding time. The result's certificate collection contains
+    every cut used, each a minimal unavoidable set of g.
     """
     cfg = config or MscpConfig()
-    budget = _LoopBudget(cfg.solve_budget)
     started = perf_counter()
+    budget = _LoopBudget(cfg.solve_budget)
+    cells = g.size.all_cells()
+    index_of = {cell: i for i, cell in enumerate(cells)}
 
-    seed_records: list[SetRecord] = []
-    if cfg.initial_cuts > 0:
-        seeded = cfg.seed_collection
-        if seeded is None:
-            gen_limits = GenerationLimits(
-                max_sets=min(cfg.initial_cuts, cfg.generation_limits.max_sets),
-                max_size=cfg.generation_limits.max_size,
-            )
-            gen_stats = SearchStats()
-            seeded = generate_all(
-                g, gen_limits, stats=gen_stats, budget=budget.share(2)
-            )
-            budget.charge(gen_stats)
-            log.debug("seeded %d cuts in %.2fs", len(seeded), gen_stats.elapsed)
-        elif seeded.fingerprint != grid_fingerprint(g):
-            raise FingerprintMismatchError(
-                "seed collection was generated from a different grid"
-            )
-        seed_records = list(seeded.records[: cfg.initial_cuts])
-    seeds = [rec.cells.as_frozenset() for rec in seed_records]
-
-    def find_diff(revealed: frozenset, loop_budget: _LoopBudget) -> Optional[frozenset]:
-        stats = SearchStats()
-        pattern = CluePattern.from_cells(g.size, revealed)
-        try:
-            alt = find_alternate(g, pattern, loop_budget.call_budget(), stats)
-        except SearchInterrupted:
-            loop_budget.charge(stats)
-            raise _Expired from None
-        loop_budget.charge(stats)
-        if alt is None:
-            return None
-        n = g.size.n
-        return frozenset(
-            Cell(i // n + 1, i % n + 1)
-            for i, (a, b) in enumerate(zip(alt.entries, g.entries))
-            if a != b
-        )
-
-    outcome = _ihs_loop(g.size.all_cells(), find_diff, seeds, budget)
+    def alternate(revealed: frozenset, share: SearchBudget, stats: SearchStats):
+        pattern = CluePattern(g.size, [i in revealed for i in range(len(cells))])
+        alt = find_alternate(g, pattern, share, stats)
+        return None if alt is None else alt.entries
 
     certificate = UnavoidableCollection(grid_fingerprint(g), g.size.n)
-    for rec in seed_records:
-        certificate.add(rec)
-    for k, cut in enumerate(outcome.certificate[len(seeds):]):
-        cells = UnavoidableSet(cut)
+    with suppress(SearchInterrupted):
+        if cfg.initial_cuts > 0 and cfg.seed_collection is None:
+            limits = GenerationLimits(max_sets=cfg.initial_cuts, max_size=cfg.max_cut_size)
+            seeded = budget.spend(
+                lambda share, stats: generate_all(g, limits, stats=stats, budget=share),
+                parts=2,
+            )
+            for rec in seeded.records:
+                certificate.add(rec)
+        elif cfg.initial_cuts > 0:
+            if cfg.seed_collection.fingerprint != certificate.fingerprint:
+                raise FingerprintMismatchError(
+                    "seed collection was generated from a different grid"
+                )
+            for rec in cfg.seed_collection.records[: cfg.initial_cuts]:
+                outside = frozenset(range(len(cells))) - {index_of[c] for c in rec.cells}
+                if _alternate_diff(g.entries, alternate, budget, outside) is None:
+                    raise NotUnavoidableError(f"seed set {rec.cells} is not unavoidable")
+                certificate.add(rec)
+    log.debug("seeded %d cuts in %.2fs", len(certificate), perf_counter() - started)
+    seeds = [frozenset(index_of[c] for c in rec.cells) for rec in certificate.records]
+
+    outcome = _ihs_loop(g.entries, alternate, seeds, budget, started)
+
+    # the loop adds its k-th cut in iteration k + 1, noted in trace[k]
+    for cut, entry in zip(outcome.certificate[len(seeds):], outcome.trace):
+        members = UnavoidableSet(cells[i] for i in cut)
         certificate.add(
             SetRecord(
-                cells,
-                index=len(seed_records) + k,
-                discovered_size=cells.size,
-                seconds=perf_counter() - started,
+                members,
+                index=len(certificate),
+                discovered_size=members.size,
+                seconds=entry.elapsed,
             )
         )
 
     return MscpResult(
         status=outcome.status,
-        best_pattern=CluePattern.from_cells(g.size, outcome.best_clue),
+        best_pattern=CluePattern(g.size, [i in outcome.best_clue for i in range(len(cells))]),
         upper_bound=outcome.upper_bound,
         lower_bound=outcome.lower_bound,
         certificate=certificate,
@@ -379,44 +385,34 @@ class FcpInstance:
     `target` is the certificate to pin down, one symbol per index.
     `alternate_finder(revealed)` must return a different certificate that
     agrees with the target on every revealed index, or None when none
-    exists. The finder is opaque to the solver: generic instances start
-    from no seed cuts, and its search nodes are not counted.
+    exists; the loop rejects an answer that breaks this with ValueError.
+    The finder is opaque to the solver: generic instances start from no
+    seed cuts, and its search nodes are not counted.
     """
 
     target: tuple
     alternate_finder: Callable[[frozenset], Optional[Sequence]]
 
 
-def fcp_solve(instance: FcpInstance, config: Optional[MscpConfig] = None) -> FcpResult:
+def fcp_solve(instance: FcpInstance, budget: Optional[SearchBudget] = None) -> FcpResult:
     """Fewest revealed indices whose unique consistent certificate is the
-    instance target; same loop as solve_mscp over certificate indices.
+    instance target; the loop solve_mscp runs, over certificate indices.
 
-    Only `config.solve_budget` applies: the loop starts with no seed cuts,
-    and a node budget counts hitting-set nodes alone, since the alternate
-    finder reports none.
+    The loop starts with no seed cuts. The finder reports no search nodes,
+    so a node `budget` counts hitting-set nodes alone; time is checked
+    before every hitting-set and finder call.
     """
-    cfg = config or MscpConfig()
+    started = perf_counter()
     target = tuple(instance.target)
-    l = len(target)
-    if instance.alternate_finder(frozenset(range(l))) is not None:
+    if instance.alternate_finder(frozenset(range(len(target)))) is not None:
         raise ValueError("target certificate is not uniquely pinned by a full reveal")
-
-    def find_diff(revealed: frozenset, loop_budget: _LoopBudget) -> Optional[frozenset]:
-        loop_budget.check()
-        alt = instance.alternate_finder(frozenset(revealed))
-        if alt is None:
-            return None
-        cand = tuple(alt)
-        if len(cand) != l:
-            raise ValueError("alternate certificate has wrong length")
-        diff = frozenset(i for i in range(l) if cand[i] != target[i])
-        if not diff:
-            raise ValueError("alternate certificate equals the target")
-        if diff & revealed:
-            raise ValueError("alternate certificate violates the revealed clue")
-        return diff
-
-    return _ihs_loop(range(l), find_diff, [], _LoopBudget(cfg.solve_budget))
+    return _ihs_loop(
+        target,
+        lambda revealed, share, stats: instance.alternate_finder(revealed),
+        [],
+        _LoopBudget(budget or SearchBudget()),
+        started,
+    )
 
 
 def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:

@@ -148,6 +148,27 @@ class TestSolve:
         )
         assert "optimum" in capsys.readouterr().out
 
+    def test_cuts_file_with_avoidable_sets_fails(self, tmp_path, grids4, capsys):
+        from minclue import GridSize, grid_fingerprint, parse_grid
+
+        text = "".join(str(v) for v in grids4[0])
+        fingerprint = grid_fingerprint(parse_grid(text, GridSize.of_side(4)))
+        cuts = write(
+            tmp_path / "single.unav",
+            f"MSCPUNAV v1 n=4 fingerprint={fingerprint} complete=0",
+            *(f"m=1: 1,{c}" for c in range(1, 5)),
+        )
+        grid_file = write(tmp_path / "grid.txt", text)
+        results = tmp_path / "results.csv"
+        code = main(
+            ["solve", grid_file, "--seed-cuts", "4", "--cuts-file", cuts,
+             "--results-csv", str(results)]
+        )
+        assert code == 1
+        assert "ERROR" in capsys.readouterr().out
+        with open(results) as fh:
+            assert next(csv.DictReader(fh))["status"] == "error:NotUnavoidableError"
+
 
 class TestExportCommand:
     def test_reports_counts(self, tmp_path, capsys):

@@ -3,20 +3,28 @@ import pytest
 import oracle
 from conftest import GREEN
 from minclue import (
+    Cell,
     CluePattern,
     FcpInstance,
     GenerationLimits,
     HittingInstance,
     MscpConfig,
     MscpStatus,
+    NotUnavoidableError,
     SearchBudget,
+    UnavoidableCollection,
+    UnavoidableSet,
     disjoint_packing_bound,
     fcp_solve,
     generate_all,
+    grid_fingerprint,
     latin_square_fcp_instance,
+    load_collection,
+    save_collection,
     solve_mscp,
     verify_validity,
 )
+from minclue.unavoidable import SetRecord
 
 
 class TestVerifyValidity:
@@ -114,11 +122,60 @@ class TestSolveMscp4x4:
             )
 
 
+class TestSuppliedSeeds:
+    def test_avoidable_seed_is_rejected(self, grid4_objects, tmp_path):
+        # single cells are never unavoidable: trusting them as cuts would
+        # push the lower bound past the optimum 4
+        grid = grid4_objects[0]
+        coll = UnavoidableCollection(grid_fingerprint(grid), 4)
+        for k in range(6):
+            coll.add(SetRecord(UnavoidableSet([Cell(k // 4 + 1, k % 4 + 1)]), k, 1, 0.0))
+        path = tmp_path / "single.unav"
+        save_collection(coll, path)
+        loaded = load_collection(path, grid)
+        with pytest.raises(NotUnavoidableError):
+            solve_mscp(grid, MscpConfig(initial_cuts=6, seed_collection=loaded))
+
+    def test_budget_ending_mid_check_drops_unchecked_seeds(self, grid4_objects):
+        grid = grid4_objects[0]
+        coll = generate_all(grid, GenerationLimits(max_sets=10))
+        cfg = MscpConfig(
+            initial_cuts=10, seed_collection=coll, solve_budget=SearchBudget(max_nodes=40)
+        )
+        result = solve_mscp(grid, cfg)
+        used = [r.cells for r in result.certificate.records]
+        assert 0 < len(used) < 10
+        assert used == [r.cells for r in coll.records[: len(used)]]
+        assert result.status is MscpStatus.INTERRUPTED
+        assert result.lower_bound <= 4 <= result.upper_bound
+
+
+class TestClock:
+    def test_loop_cut_seconds_are_their_iteration_times(self, figure_grid):
+        cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=30_000))
+        result = solve_mscp(figure_grid, cfg)
+        records = result.certificate.records
+        assert len(records) > 10
+        for k, rec in enumerate(records):
+            assert result.trace[k].iteration == k + 1
+            assert rec.seconds == result.trace[k].elapsed
+
+    def test_seeded_trace_counts_from_the_call(self, grid4_objects):
+        # a seed's time counts from the generator's start, inside the solve,
+        # so the first iteration ends after every seed was found
+        grid = grid4_objects[5]
+        seeded = generate_all(grid, GenerationLimits(max_sets=1000))
+        result = solve_mscp(grid, MscpConfig())
+        seeds = result.certificate.records[: len(seeded)]
+        assert [r.cells for r in seeds] == [r.cells for r in seeded.records]
+        assert result.trace[0].elapsed > max(r.seconds for r in seeds)
+
+
 class TestBudgetedSolve:
     def test_node_budget_reports_bounds(self, figure_grid):
         cfg = MscpConfig(
             initial_cuts=6,
-            generation_limits=GenerationLimits(max_sets=6, max_size=4),
+            max_cut_size=4,
             solve_budget=SearchBudget(max_nodes=250_000),
         )
         result = solve_mscp(figure_grid, cfg)
@@ -146,7 +203,7 @@ class TestBudgetedSolve:
         limits = GenerationLimits(max_sets=4, max_size=4)
         cfg = MscpConfig(
             initial_cuts=4,
-            generation_limits=limits,
+            max_cut_size=4,
             solve_budget=SearchBudget(max_nodes=16_700),
         )
         result = solve_mscp(figure_grid, cfg)
@@ -208,3 +265,32 @@ class TestFcp:
     def test_latin_rejects_non_latin_target(self):
         with pytest.raises(ValueError):
             latin_square_fcp_instance((1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4))
+
+
+class TestOracleChecks:
+    """The loop checks every alternate it is handed, for any caller."""
+
+    @staticmethod
+    def broken(answer):
+        target = (1, 2, 3)
+        full = frozenset(range(3))
+        return FcpInstance(target, lambda revealed: None if revealed == full else answer)
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            ((2, 3), "wrong length"),
+            ((1, 2, 3), "equals the target"),
+            ((9, 9, 9), "violates the revealed clue"),
+        ],
+    )
+    def test_broken_finder_raises(self, answer, message):
+        with pytest.raises(ValueError, match=message):
+            fcp_solve(self.broken(answer))
+
+    def test_latin_node_budget_keeps_bounds(self):
+        squares = list(oracle.latin4())
+        want, _ = oracle.mscp_optimum(oracle.diff_masks(squares, 100), 16)
+        result = fcp_solve(latin_square_fcp_instance(squares[100]), SearchBudget(max_nodes=1))
+        assert result.status is not MscpStatus.OPTIMAL
+        assert result.lower_bound <= want <= result.upper_bound
