@@ -4,7 +4,11 @@ One private mutable state per call; every public function is reentrant and
 deterministic: most-constrained cell first, ties by (row, col), digits tried
 in ascending order. Every completion query (count, solve, alternate,
 enumeration) consumes the one propagating generator `_completions`, so they
-all see completions in the same search order. Budgets are enforced as exact
+all see completions in the same search order. An alternate is the first
+completion, other than the target, of the target masked to its revealed
+cells: `find_alternate` asks for it on a Sudoku table, and the finder of
+`solver.latin_square_fcp_instance` on the box-free one, each under the IHS
+loop's budget share and reporting its nodes. Budgets are enforced as exact
 node counts (optionally wall-clock time) and surface as SearchInterrupted,
 never as a wrong answer.
 
@@ -19,11 +23,10 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
-from math import isqrt
 from time import perf_counter
 from typing import Iterator, Optional, Sequence
 
-from .grid import Cell, CluePattern, Grid, GridError, Puzzle, _Geometry, apply_pattern
+from .grid import Cell, CluePattern, Grid, GridError, Puzzle, _Geometry, _masked_entries
 
 __all__ = [
     "SearchBudget",
@@ -34,7 +37,6 @@ __all__ = [
     "solve_puzzle",
     "iter_solutions",
     "find_alternate",
-    "latin_alternate",
     "find_deviating_grid",
 ]
 
@@ -303,21 +305,10 @@ def find_alternate(
 
     None means the pattern induces a puzzle whose unique solution is `grid`.
     """
-    puzzle = apply_pattern(grid, pattern)
     geo = _Geometry.get(grid.size.n, grid.size.s)
-    values = _first(_solutions(geo, puzzle.entries, budget, stats), skip=grid.entries)
+    entries = _masked_entries(grid, pattern)
+    values = _first(_solutions(geo, entries, budget, stats), skip=grid.entries)
     return None if values is None else Grid(grid.size, values)
-
-
-def latin_alternate(
-    target: Sequence[int], revealed: frozenset
-) -> Optional[tuple[int, ...]]:
-    """A Latin square other than `target` (row major, symbols 1..n) that
-    agrees with it on every revealed index, or None when there is none."""
-    n = isqrt(len(target))
-    entries = [v if i in revealed else 0 for i, v in enumerate(target)]
-    geo = _Geometry.get(n, 0)
-    return _first(_solutions(geo, entries, None, None), skip=tuple(target))
 
 
 @dataclass(frozen=True)
@@ -345,11 +336,14 @@ class _DeviationSearch:
     `grids()` yields every grid at distance m that keeps a target cell in
     each nogood, in search order: most-constrained cell first (ties by
     index), digits ascending. While it is paused at a yield, `add_nogood`
-    adds a nogood in place; on resume the search unwinds only to the frame
-    whose assignment put the nogood's last cell off target and continues
-    with that frame's next sibling. Nogoods only prune, and the branching
-    order never depends on them, so the next grid is the one a restart with
-    the enlarged nogood list would find first.
+    may add that grid's own diff as a nogood, in place; on resume the
+    search continues with the next sibling of the deepest open frame.
+    That is exact: the grid reached distance m when that frame put its cell
+    off target, so the cell is in the diff. Every later grid assigns the
+    cell anew, so the off-target assignment that would complete the diff
+    happens after the nogood exists and is checked against it. Nogoods only
+    prune, and the branching order never depends on them, so the next grid
+    is the one a restart with the enlarged nogood list would find first.
 
     Pruning: a digit whose target cell was overwritten must reappear in the
     same row/column/box at some other (necessarily deviating) cell, so the
@@ -377,9 +371,6 @@ class _DeviationSearch:
             for slot in geo.slots[i]:
                 self.pos[slot][v] = i
         self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
-        self.path: list[int] = []  # the branching cell of each open frame
-        self.deviating = 0  # deviating-cell mask at the last yield
-        self.unwind = geo.cells  # depth of the frame to resume at; none pending
         for group in constraint.nogoods:
             self.add_nogood(group)
 
@@ -390,24 +381,14 @@ class _DeviationSearch:
         mask = sum(1 << idx for idx in indices)
         for idx in indices:
             self.nogoods_of[idx].append(mask)
-        if mask and mask & self.deviating == mask:
-            # violated by the grid just yielded: resume at the frame that
-            # put its last cell off target
-            last = max(d for d, idx in enumerate(self.path) if mask >> idx & 1)
-            self.unwind = min(self.unwind, last)
 
     def grids(self) -> Iterator[tuple[int, ...]]:
-        return self._search(0, 0, 0, 0, 0)
+        return self._search(0, 0, 0, 0)
 
     def _search(
-        self,
-        depth: int,
-        deviating: int,
-        row_total: int,
-        col_total: int,
-        box_total: int,
+        self, deviating: int, row_total: int, col_total: int, box_total: int
     ) -> Iterator[tuple[int, ...]]:
-        """Grids below the frame at `depth`; `deviating` is the mask of
+        """Grids below the current assignment; `deviating` is the mask of
         deviating cells, the totals are the displaced-digit counts."""
         m = self.m
         deviations = deviating.bit_count()
@@ -416,9 +397,7 @@ class _DeviationSearch:
         used = state.used
         if deviations == m:
             if used == self.t_used:
-                self.deviating = deviating
                 yield tuple(v or t for v, t in zip(values, self.target))
-                self.deviating = 0
             return
         geo = self.geo
         slots, full = geo.slots, geo.full
@@ -450,7 +429,6 @@ class _DeviationSearch:
         pos, t_used = self.pos, self.t_used
         nogoods = self.nogoods_of[best]
         tick = self.ticker.tick
-        self.path.append(best)
         for slot in cell_slots:
             t_used[slot] |= gbit
         cand = best_cand
@@ -463,9 +441,7 @@ class _DeviationSearch:
             for slot in cell_slots:
                 used[slot] |= bit
             if value == gv:
-                yield from self._search(
-                    depth + 1, deviating, row_total, col_total, box_total
-                )
+                yield from self._search(deviating, row_total, col_total, box_total)
             else:
                 dev = deviating | cell_bit
                 for mask in nogoods:
@@ -481,7 +457,6 @@ class _DeviationSearch:
                     bound = max(row_total + dr, col_total + dc, box_total + db)
                     if deviations + 1 + bound <= m:
                         yield from self._search(
-                            depth + 1,
                             dev,
                             row_total + dr,
                             col_total + dc,
@@ -490,11 +465,6 @@ class _DeviationSearch:
             values[best] = 0
             for slot in cell_slots:
                 used[slot] ^= bit
-            if self.unwind <= depth:
-                if self.unwind < depth:
-                    break
-                self.unwind = geo.cells
-        self.path.pop()
         for slot in cell_slots:
             t_used[slot] ^= gbit
 

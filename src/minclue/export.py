@@ -15,7 +15,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .grid import Grid, _Geometry
-from .unavoidable import UnavoidableCollection
+from .unavoidable import (
+    FingerprintMismatchError,
+    NotUnavoidableError,
+    UnavoidableCollection,
+    grid_fingerprint,
+    is_unavoidable,
+)
 
 __all__ = [
     "BilevelModelFiles",
@@ -187,7 +193,18 @@ def export_bilevel(
     cuts: Optional[UnavoidableCollection],
     out_dir,
 ) -> BilevelModelFiles:
-    """Write model/aux (and cut) files; see the module docstring."""
+    """Write model/aux (and cut) files; see the module docstring.
+
+    Every cut must be an unavoidable set of g (FingerprintMismatchError for
+    a collection of another grid, NotUnavoidableError for a set that is
+    not); both are checked before any file is written.
+    """
+    if cuts is not None:
+        if cuts.fingerprint != grid_fingerprint(g):
+            raise FingerprintMismatchError("cut collection was generated from a different grid")
+        for member in cuts:
+            if not is_unavoidable(g, member):
+                raise NotUnavoidableError(f"cut {member.cells} is not unavoidable")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = g.size.n

@@ -358,16 +358,18 @@ def serialize(board: Union[Grid, Puzzle]) -> str:
     return ",".join("." if v == 0 else str(v) for v in board.entries)
 
 
-def apply_pattern(grid: Grid, pattern: CluePattern) -> Puzzle:
-    """Puzzle revealing exactly the grid entries selected by the pattern."""
+def _masked_entries(grid: Grid, pattern: CluePattern) -> list[int]:
+    """The grid's entries, 0 wherever the pattern does not reveal the cell."""
     if grid.size != pattern.size:
         raise SizeMismatchError(
             f"grid is {grid.size.n}x{grid.size.n}, pattern is {pattern.size.n}x{pattern.size.n}"
         )
-    return Puzzle(
-        grid.size,
-        [v if keep else 0 for v, keep in zip(grid.entries, pattern.mask)],
-    )
+    return [v if keep else 0 for v, keep in zip(grid.entries, pattern.mask)]
+
+
+def apply_pattern(grid: Grid, pattern: CluePattern) -> Puzzle:
+    """Puzzle revealing exactly the grid entries selected by the pattern."""
+    return Puzzle(grid.size, _masked_entries(grid, pattern))
 
 
 def infer_size(token: str) -> GridSize:

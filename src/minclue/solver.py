@@ -10,7 +10,9 @@ minimum size, or the indices where its answer differs yield a new minimal
 cut and the loop repeats; every oracle answer is checked. Callers:
 `solve_mscp` (a Sudoku grid's cells in row-major order, oracle
 `find_alternate`), and `fcp_solve` on `latin_square_fcp_instance` or on
-any user-built `FcpInstance`.
+any user-built `FcpInstance`. Every oracle has the one signature
+`(revealed, budget, stats) -> certificate or None`, so its search nodes
+count toward a solve's node budget whoever the caller is.
 """
 from __future__ import annotations
 
@@ -27,9 +29,10 @@ from .engine import (
     SearchBudget,
     SearchInterrupted,
     SearchStats,
+    _first,
+    _solutions,
     count_solutions,
     find_alternate,
-    latin_alternate,
 )
 from .grid import CluePattern, Grid, _Geometry, _scan_units, apply_pattern
 from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
@@ -383,36 +386,34 @@ class FcpInstance:
     """A fewest-clue problem over an arbitrary certificate.
 
     `target` is the certificate to pin down, one symbol per index.
-    `alternate_finder(revealed)` must return a different certificate that
-    agrees with the target on every revealed index, or None when none
-    exists; the loop rejects an answer that breaks this with ValueError.
-    The finder is opaque to the solver: generic instances start from no
-    seed cuts, and its search nodes are not counted.
+    `alternate_finder(revealed, budget, stats)` is the loop's oracle: it
+    must return a different certificate that agrees with the target on
+    every revealed index, or None when none exists, and the loop rejects an
+    answer that breaks this with ValueError. It should stop with
+    SearchInterrupted once it has searched `budget`, and report its search
+    nodes in `stats`, which the loop charges to the solve's budget.
     """
 
     target: tuple
-    alternate_finder: Callable[[frozenset], Optional[Sequence]]
+    alternate_finder: _Alternate
 
 
 def fcp_solve(instance: FcpInstance, budget: Optional[SearchBudget] = None) -> FcpResult:
     """Fewest revealed indices whose unique consistent certificate is the
     instance target; the loop solve_mscp runs, over certificate indices.
 
-    The loop starts with no seed cuts. The finder reports no search nodes,
-    so a node `budget` counts hitting-set nodes alone; time is checked
-    before every hitting-set and finder call.
+    The loop starts with no seed cuts. Every finder call, the full-reveal
+    check included, draws from `budget` like the hitting-set searches; a
+    budget that ends during that check raises SearchInterrupted.
     """
     started = perf_counter()
     target = tuple(instance.target)
-    if instance.alternate_finder(frozenset(range(len(target)))) is not None:
+    finder = instance.alternate_finder
+    loop_budget = _LoopBudget(budget or SearchBudget())
+    universe = frozenset(range(len(target)))
+    if loop_budget.spend(lambda share, stats: finder(universe, share, stats)) is not None:
         raise ValueError("target certificate is not uniquely pinned by a full reveal")
-    return _ihs_loop(
-        target,
-        lambda revealed, share, stats: instance.alternate_finder(revealed),
-        [],
-        _LoopBudget(budget or SearchBudget()),
-        started,
-    )
+    return _ihs_loop(target, finder, [], loop_budget, started)
 
 
 def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
@@ -424,5 +425,11 @@ def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
     if not all(1 <= v <= n for v in target):
         raise ValueError("target is not a Latin square over 1..n")
     # n symbols, none repeated in a row or column
-    _scan_units(_Geometry.get(n, 0), target)
-    return FcpInstance(target, lambda revealed: latin_alternate(target, revealed))
+    geo = _Geometry.get(n, 0)
+    _scan_units(geo, target)
+
+    def alternate(revealed: frozenset, budget: SearchBudget, stats: SearchStats):
+        entries = [v if i in revealed else 0 for i, v in enumerate(target)]
+        return _first(_solutions(geo, entries, budget, stats), skip=target)
+
+    return FcpInstance(target, alternate)

@@ -149,16 +149,7 @@ class TestSolve:
         assert "optimum" in capsys.readouterr().out
 
     def test_cuts_file_with_avoidable_sets_fails(self, tmp_path, grids4, capsys):
-        from minclue import GridSize, grid_fingerprint, parse_grid
-
-        text = "".join(str(v) for v in grids4[0])
-        fingerprint = grid_fingerprint(parse_grid(text, GridSize.of_side(4)))
-        cuts = write(
-            tmp_path / "single.unav",
-            f"MSCPUNAV v1 n=4 fingerprint={fingerprint} complete=0",
-            *(f"m=1: 1,{c}" for c in range(1, 5)),
-        )
-        grid_file = write(tmp_path / "grid.txt", text)
+        grid_file, cuts = single_cell_cuts(tmp_path, grids4[0])
         results = tmp_path / "results.csv"
         code = main(
             ["solve", grid_file, "--seed-cuts", "4", "--cuts-file", cuts,
@@ -168,6 +159,21 @@ class TestSolve:
         assert "ERROR" in capsys.readouterr().out
         with open(results) as fh:
             assert next(csv.DictReader(fh))["status"] == "error:NotUnavoidableError"
+
+
+def single_cell_cuts(tmp_path, board):
+    """A grid file and a collection with its fingerprint holding the four
+    cells of row 1 as one-cell sets, none of them unavoidable."""
+    from minclue import GridSize, grid_fingerprint, parse_grid
+
+    text = "".join(str(v) for v in board)
+    fingerprint = grid_fingerprint(parse_grid(text, GridSize.of_side(4)))
+    cuts = write(
+        tmp_path / "single.unav",
+        f"MSCPUNAV v1 n=4 fingerprint={fingerprint} complete=0",
+        *(f"m=1: 1,{c}" for c in range(1, 5)),
+    )
+    return write(tmp_path / "grid.txt", text), cuts
 
 
 class TestExportCommand:
@@ -180,6 +186,21 @@ class TestExportCommand:
     def test_missing_grid_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["export", str(tmp_path / "absent.txt")])
+
+    def test_cuts_file_with_avoidable_sets_fails(self, tmp_path, grids4, capsys):
+        grid_file, cuts = single_cell_cuts(tmp_path, grids4[0])
+        results = tmp_path / "results.csv"
+        out_dir = tmp_path / "out"
+        code = main(
+            ["export", grid_file, "--cuts-file", cuts, "--out-dir", str(out_dir),
+             "--results-csv", str(results)]
+        )
+        assert code == 1
+        assert "ERROR" in capsys.readouterr().out
+        with open(results) as fh:
+            assert next(csv.DictReader(fh))["status"] == "error:NotUnavoidableError"
+        assert not (out_dir / "cuts.lp").exists()
+        assert not out_dir.exists()  # checked before any file is written
 
 
 class TestResultsCsv:

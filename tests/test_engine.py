@@ -15,6 +15,7 @@ from minclue import (
     SearchBudget,
     SearchInterrupted,
     SearchStats,
+    SizeMismatchError,
     apply_pattern,
     count_solutions,
     find_alternate,
@@ -110,6 +111,10 @@ class TestFindAlternate:
 
     def test_all_true_unique(self, figure_grid, size9):
         assert find_alternate(figure_grid, CluePattern.all_cells(size9)) is None
+
+    def test_pattern_of_another_size(self, figure_grid, size4):
+        with pytest.raises(SizeMismatchError):
+            find_alternate(figure_grid, CluePattern.all_cells(size4))
 
     def test_all_false_always_has_alternate(self, figure_grid, grid4_objects, size9, size4):
         # the relaxed adversary is never forced to reproduce the target

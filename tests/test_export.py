@@ -3,6 +3,7 @@ import pytest
 from conftest import GREEN
 from minclue import (
     EmptyCollectionError,
+    FingerprintMismatchError,
     GenerationLimits,
     UnavoidableCollection,
     UnavoidableSet,
@@ -160,6 +161,13 @@ class TestNameScheme:
     def test_junk_rejected(self):
         with pytest.raises(ModelFormatError):
             decode_variable("w_1_2")
+
+
+class TestCutChecks:
+    def test_collection_of_another_grid(self, figure_grid, grid4_objects, tmp_path):
+        with pytest.raises(FingerprintMismatchError):
+            export_bilevel(grid4_objects[0], green_collection(figure_grid), tmp_path / "m")
+        assert not (tmp_path / "m").exists()
 
 
 class TestExportCuts:

@@ -30,9 +30,9 @@ def test_relabelling_keeps_the_optimum(grid4_objects, idx, digits):
 def sudoku_instance(grid: Grid) -> FcpInstance:
     """The grid as a generic fewest-clue instance over its 16 cell indices."""
 
-    def finder(revealed):
+    def finder(revealed, budget, stats):
         pattern = CluePattern(grid.size, [i in revealed for i in range(len(grid.entries))])
-        alt = find_alternate(grid, pattern)
+        alt = find_alternate(grid, pattern, budget, stats)
         return None if alt is None else alt.entries
 
     return FcpInstance(grid.entries, finder)
@@ -51,11 +51,12 @@ def test_sudoku_is_one_fewest_clue_instance(grid4_objects, idx):
 
     assert fcp.best_clue == index(mscp.best_pattern.cells())
     assert fcp.certificate == tuple(index(s) for s in mscp.certificate.sets)
-    assert (fcp.status, fcp.lower_bound, fcp.upper_bound, fcp.iterations) == (
+    assert (fcp.status, fcp.lower_bound, fcp.upper_bound, fcp.iterations, fcp.nodes) == (
         mscp.status,
         mscp.lower_bound,
         mscp.upper_bound,
         mscp.iterations,
+        mscp.nodes,
     )
     assert [(t.lower, t.upper, t.certificate_size) for t in fcp.trace] == [
         (t.lower, t.upper, t.certificate_size) for t in mscp.trace

@@ -12,6 +12,7 @@ from minclue import (
     MscpStatus,
     NotUnavoidableError,
     SearchBudget,
+    SearchInterrupted,
     UnavoidableCollection,
     UnavoidableSet,
     disjoint_packing_bound,
@@ -239,14 +240,16 @@ class TestBudgetedSolve:
 
 class TestFcp:
     def test_already_unique_certificate(self):
-        instance = FcpInstance(target=(1, 0, 1, 1), alternate_finder=lambda revealed: None)
+        instance = FcpInstance(
+            target=(1, 0, 1, 1), alternate_finder=lambda revealed, budget, stats: None
+        )
         result = fcp_solve(instance)
         assert result.status is MscpStatus.OPTIMAL
         assert result.upper_bound == 0 and result.best_clue == frozenset()
 
     def test_infeasible_target_rejected(self):
         instance = FcpInstance(
-            target=(1, 0), alternate_finder=lambda revealed: (0, 1)
+            target=(1, 0), alternate_finder=lambda revealed, budget, stats: (0, 1)
         )
         with pytest.raises(ValueError):
             fcp_solve(instance)
@@ -274,7 +277,9 @@ class TestOracleChecks:
     def broken(answer):
         target = (1, 2, 3)
         full = frozenset(range(3))
-        return FcpInstance(target, lambda revealed: None if revealed == full else answer)
+        return FcpInstance(
+            target, lambda revealed, budget, stats: None if revealed == full else answer
+        )
 
     @pytest.mark.parametrize(
         "answer, message",
@@ -294,3 +299,17 @@ class TestOracleChecks:
         result = fcp_solve(latin_square_fcp_instance(squares[100]), SearchBudget(max_nodes=1))
         assert result.status is not MscpStatus.OPTIMAL
         assert result.lower_bound <= want <= result.upper_bound
+
+    def test_latin_node_budget_counts_finder_nodes(self):
+        # the solve's hitting-set nodes alone stay below 1000 on this square
+        squares = list(oracle.latin4())
+        want, _ = oracle.mscp_optimum(oracle.diff_masks(squares, 100), 16)
+        result = fcp_solve(latin_square_fcp_instance(squares[100]), SearchBudget(max_nodes=1000))
+        assert result.status is not MscpStatus.OPTIMAL
+        assert result.nodes <= 1001
+        assert result.lower_bound <= want <= result.upper_bound
+
+    def test_budget_spent_before_the_full_reveal_check_raises(self):
+        square = next(iter(oracle.latin4()))
+        with pytest.raises(SearchInterrupted):
+            fcp_solve(latin_square_fcp_instance(square), SearchBudget(max_nodes=0))
