@@ -31,8 +31,6 @@ from .unavoidable import GenerationLimits, generate_all, load_collection, save_c
 
 __all__ = ["main", "RESULT_FIELDS", "TIME_BUCKETS", "bucket_label", "parse_budget"]
 
-log = logging.getLogger("minclue.cli")
-
 RESULT_FIELDS = [
     "instance_id",
     "command",
@@ -107,6 +105,21 @@ def _instances(path: str) -> list[tuple[str, str]]:
     return items
 
 
+def _grid_instances(args) -> list[tuple[str, str]]:
+    return _instances(args.grid_file)
+
+
+def _paired_instances(args) -> list[tuple[str, tuple[str, str]]]:
+    """verify's input: the n-th grid with the n-th puzzle, ids from the grid file."""
+    grids = _instances(args.grid_file)
+    puzzles = _instances(args.puzzle_file)
+    if len(grids) != len(puzzles):
+        raise GridError(
+            f"instance counts differ: {len(grids)} grids vs {len(puzzles)} puzzles"
+        )
+    return [(gid, (gtoken, ptoken)) for (gid, gtoken), (_, ptoken) in zip(grids, puzzles)]
+
+
 def _derived_path(base: Optional[str], many: bool, instance_id: str) -> Optional[str]:
     """Per-instance output path: line number inserted before the suffix."""
     if base is None:
@@ -125,20 +138,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _genunav_one(task: dict) -> tuple[bool, str, dict]:
-    size = infer_size(task["token"])
-    grid = parse_grid(task["token"], size)
+def _genunav(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, dict]:
+    grid = parse_grid(token, infer_size(token))
     progress_rows: list[tuple[int, int, float]] = []
     collection = generate_all(
         grid,
-        GenerationLimits(max_sets=task["max_sets"], max_size=task["max_size"]),
+        GenerationLimits(max_sets=args.max_sets, max_size=args.max_size),
         progress=lambda idx, m, sec: progress_rows.append((idx, m, sec)),
-        budget=SearchBudget(max_time=task["max_time"]),
+        budget=SearchBudget(max_time=args.max_time),
     )
-    out_path = task["out"]
+    default_out = str(Path(args.grid_file).with_suffix(".unav"))
+    out_path = _derived_path(args.out or default_out, many, instance_id)
     save_collection(collection, out_path)
-    if task["progress_csv"]:
-        with open(task["progress_csv"], "w", newline="", encoding="utf-8") as fh:
+    progress_csv = _derived_path(args.progress_csv, many, instance_id)
+    if progress_csv:
+        with open(progress_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["set_index", "m", "elapsed_seconds"])
             writer.writerows(progress_rows)
@@ -148,33 +162,32 @@ def _genunav_one(task: dict) -> tuple[bool, str, dict]:
         deltas.append(sec - prev)
         prev = sec
     table = bucket_table(deltas)
-    lines = [f"{task['instance_id']}: {len(collection)} sets -> {out_path}"]
+    lines = [f"{instance_id}: {len(collection)} sets -> {out_path}"]
     lines.append("generation time [s]   sets")
     for label, count in table:
         lines.append(f"{label:<21} {count}")
     return True, "\n".join(lines), {
-        "config": f"max_sets={task['max_sets']};max_size={task['max_size']};max_time={task['max_time']}",
+        "config": f"max_sets={args.max_sets};max_size={args.max_size};max_time={args.max_time}",
         "status": "complete" if collection.complete else "incomplete",
         "iterations": len(collection),
     }
 
 
-def _solve_one(task: dict) -> tuple[bool, str, dict]:
-    instance_id = task["instance_id"]
-    size = infer_size(task["token"])
-    grid = parse_grid(task["token"], size)
+def _solve(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, dict]:
+    grid = parse_grid(token, infer_size(token))
     seed_collection = None
-    if task["cuts_file"]:
-        seed_collection = load_collection(task["cuts_file"], grid)
+    if args.cuts_file:
+        seed_collection = load_collection(args.cuts_file, grid)
     config = MscpConfig(
-        initial_cuts=task["seed_cuts"],
-        max_cut_size=task["max_cut_size"],
-        solve_budget=parse_budget(task["budget"]),
+        initial_cuts=args.seed_cuts,
+        max_cut_size=args.max_cut_size,
+        solve_budget=parse_budget(args.budget),
         seed_collection=seed_collection,
     )
     result = solve_mscp(grid, config)
-    if task["trace_csv"]:
-        with open(task["trace_csv"], "w", newline="", encoding="utf-8") as fh:
+    trace_csv = _derived_path(args.trace_csv, many, instance_id)
+    if trace_csv:
+        with open(trace_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["iteration", "lower", "upper", "certificate_size", "elapsed_seconds"]
@@ -197,7 +210,7 @@ def _solve_one(task: dict) -> tuple[bool, str, dict]:
             f"lower={result.lower_bound} upper={result.upper_bound}"
         )
     return True, text, {
-        "config": f"seed_cuts={task['seed_cuts']};budget={task['budget'] or 'none'}",
+        "config": f"seed_cuts={args.seed_cuts};budget={args.budget or 'none'}",
         "status": result.status.value,
         "lower_bound": result.lower_bound,
         "upper_bound": result.upper_bound,
@@ -206,24 +219,26 @@ def _solve_one(task: dict) -> tuple[bool, str, dict]:
     }
 
 
-def _verify_one(task: dict) -> tuple[bool, str, dict]:
-    size = infer_size(task["token"])
-    grid = parse_grid(task["token"], size)
-    puzzle = parse_puzzle(task["puzzle"], size)
+def _verify(args, many: bool, instance_id: str, tokens: tuple[str, str]) -> tuple[bool, str, dict]:
+    size = infer_size(tokens[0])
+    grid = parse_grid(tokens[0], size)
+    puzzle = parse_puzzle(tokens[1], size)
     if any(given and given != sol for given, sol in zip(puzzle.entries, grid.entries)):
         status = "MISMATCH"
     elif count_solutions(puzzle, 2) == 1:
         status = "VALID"
     else:
         status = "INVALID(multiple)"
-    return status == "VALID", f"{task['instance_id']}: {status}", {"status": status}
+    return status == "VALID", f"{instance_id}: {status}", {"status": status}
 
 
-def _export_one(task: dict) -> tuple[bool, str, dict]:
-    instance_id = task["instance_id"]
-    grid = parse_grid(task["token"], infer_size(task["token"]))
-    cuts = load_collection(task["cuts_file"], grid) if task["cuts_file"] else None
-    files = export_bilevel(grid, cuts, task["out_dir"])
+def _export(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, dict]:
+    grid = parse_grid(token, infer_size(token))
+    cuts = load_collection(args.cuts_file, grid) if args.cuts_file else None
+    out_dir = Path(args.out_dir)
+    if many:
+        out_dir /= f"instance_{instance_id.rsplit(':', 1)[1]}"
+    files = export_bilevel(grid, cuts, out_dir)
     text = (
         f"{instance_id}: {files.model_path} {files.aux_path}"
         + (f" {files.cuts_path}" if files.cuts_path else "")
@@ -237,117 +252,23 @@ def _export_one(task: dict) -> tuple[bool, str, dict]:
     }
 
 
-def _run_one(worker, task: dict) -> dict:
+def _run_one(args, many: bool, instance_id: str, token) -> tuple[bool, str, dict]:
     """One instance of one command; a failure becomes an error outcome.
 
-    A worker returns (ok, text, record): whether the instance passed, its
-    stdout lines, and its results-CSV fields.
+    The command's worker returns (ok, text, record): whether the instance
+    passed, its stdout lines, and its results-CSV fields.
     """
     started = perf_counter()
     try:
-        ok, text, record = worker(task)
+        ok, text, record = args.worker(args, many, instance_id, token)
     except Exception as exc:  # per-instance isolation
-        text = f"{task['instance_id']}: ERROR {exc}"
+        text = f"{instance_id}: ERROR {exc}"
         record = {"status": f"error:{type(exc).__name__}"}
         ok = False
-    record["instance_id"] = task["instance_id"]
-    record["command"] = task["command"]
+    record["instance_id"] = instance_id
+    record["command"] = args.command
     record["elapsed_seconds"] = f"{perf_counter() - started:.3f}"
-    return {"ok": ok, "text": text, "record": record}
-
-
-def _run_tasks(args, worker, tasks: list[dict]) -> int:
-    """Run every task, print and record each outcome; 1 if any failed."""
-    run = partial(_run_one, worker)
-    if args.jobs <= 1 or len(tasks) <= 1:
-        outcomes = [run(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
-    failed = 0
-    for outcome in outcomes:
-        print(outcome["text"])
-        _append_record(args.results_csv, outcome["record"])
-        failed += 0 if outcome["ok"] else 1
-    return 1 if failed else 0
-
-
-def _cmd_genunav(args) -> int:
-    instances = _instances(args.grid_file)
-    many = len(instances) > 1
-    tasks = []
-    for instance_id, token in instances:
-        out = _derived_path(args.out, many, instance_id) or str(
-            Path(args.grid_file).with_suffix(
-                f".{instance_id.rsplit(':', 1)[1]}.unav" if many else ".unav"
-            )
-        )
-        tasks.append(
-            {
-                "command": "genunav",
-                "instance_id": instance_id,
-                "token": token,
-                "max_sets": args.max_sets,
-                "max_size": args.max_size,
-                "max_time": args.max_time,
-                "out": out,
-                "progress_csv": _derived_path(args.progress_csv, many, instance_id),
-            }
-        )
-    return _run_tasks(args, _genunav_one, tasks)
-
-
-def _cmd_solve(args) -> int:
-    instances = _instances(args.grid_file)
-    many = len(instances) > 1
-    tasks = [
-        {
-            "command": "solve",
-            "instance_id": instance_id,
-            "token": token,
-            "seed_cuts": args.seed_cuts,
-            "cuts_file": args.cuts_file,
-            "budget": args.budget,
-            "max_cut_size": args.max_cut_size,
-            "trace_csv": _derived_path(args.trace_csv, many, instance_id),
-        }
-        for instance_id, token in instances
-    ]
-    return _run_tasks(args, _solve_one, tasks)
-
-
-def _cmd_verify(args) -> int:
-    grids = _instances(args.grid_file)
-    puzzles = _instances(args.puzzle_file)
-    if len(grids) != len(puzzles):
-        print(
-            f"ERROR instance counts differ: {len(grids)} grids vs {len(puzzles)} puzzles"
-        )
-        return 1
-    tasks = [
-        {"command": "verify", "instance_id": gid, "token": gtoken, "puzzle": ptoken}
-        for (gid, gtoken), (_pid, ptoken) in zip(grids, puzzles)
-    ]
-    return _run_tasks(args, _verify_one, tasks)
-
-
-def _cmd_export(args) -> int:
-    instances = _instances(args.grid_file)
-    many = len(instances) > 1
-    out_dir = Path(args.out_dir)
-    tasks = [
-        {
-            "command": "export",
-            "instance_id": instance_id,
-            "token": token,
-            "cuts_file": args.cuts_file,
-            "out_dir": (
-                out_dir / f"instance_{instance_id.rsplit(':', 1)[1]}" if many else out_dir
-            ),
-        }
-        for instance_id, token in instances
-    ]
-    return _run_tasks(args, _export_one, tasks)
+    return ok, text, record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,53 +278,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("genunav", help="generate minimal unavoidable sets")
-    p.add_argument("grid_file")
+    def command(name, help, worker, instances=_grid_instances):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("grid_file")
+        p.add_argument("--results-csv", default=None)
+        p.set_defaults(worker=worker, instances=instances, jobs=1)
+        return p
+
+    p = command("genunav", "generate minimal unavoidable sets", _genunav)
     p.add_argument("--max-sets", type=_positive_int, default=5000)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--max-time", type=float, default=None)
     p.add_argument("--out", default=None, help="collection file (default <grid_file>.unav)")
     p.add_argument("--progress-csv", default=None)
-    p.add_argument("--results-csv", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_genunav)
 
-    p = sub.add_parser("solve", help="solve the minimum-clue problem")
-    p.add_argument("grid_file")
+    p = command("solve", "solve the minimum-clue problem", _solve)
     p.add_argument("--seed-cuts", type=int, default=1000)
     p.add_argument("--cuts-file", default=None, help="reuse a genunav collection")
     p.add_argument("--max-cut-size", type=int, default=None, help="cap seeded cut size")
     p.add_argument("--budget", default=None, help="e.g. 300s, 2000000n, or 300s,2000000n")
     p.add_argument("--trace-csv", default=None)
-    p.add_argument("--results-csv", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="check a puzzle uniquely yields a grid")
-    p.add_argument("grid_file")
+    p = command("verify", "check a puzzle uniquely yields a grid", _verify, _paired_instances)
     p.add_argument("puzzle_file")
-    p.add_argument("--results-csv", default=None)
-    p.set_defaults(func=_cmd_verify, jobs=1)
 
-    p = sub.add_parser("export", help="write bilevel model files")
-    p.add_argument("grid_file")
+    p = command("export", "write bilevel model files", _export)
     p.add_argument("--cuts-file", default=None)
     p.add_argument("--out-dir", default="model_out")
-    p.add_argument("--results-csv", default=None)
-    p.set_defaults(func=_cmd_export, jobs=1)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command over every instance of its input; 1 if any failed."""
     level = os.environ.get("MSCP_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        instances = args.instances(args)
     except GridError as exc:
         print(f"ERROR {exc}")
         return 1
+    many = len(instances) > 1
+    run = partial(_run_one, args, many)
+    if args.jobs <= 1 or not many:
+        outcomes = [run(instance_id, token) for instance_id, token in instances]
+    else:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(run, *zip(*instances)))
+    failed = False
+    for ok, text, record in outcomes:
+        print(text)
+        _append_record(args.results_csv, record)
+        failed |= not ok
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -201,6 +202,45 @@ class TestExportCommand:
             assert next(csv.DictReader(fh))["status"] == "error:NotUnavoidableError"
         assert not (out_dir / "cuts.lp").exists()
         assert not out_dir.exists()  # checked before any file is written
+
+
+class TestBatchNames:
+    """Each instance of a batch writes its own files, named by its line."""
+
+    @pytest.fixture()
+    def two(self, tmp_path, grids4):
+        boards = ("".join(str(v) for v in grids4[i]) for i in (3, 4))
+        return write(tmp_path / "two.txt", "# two grids", next(boards), "", next(boards))
+
+    @staticmethod
+    def untimed(path):
+        return re.sub(r"\d+\.\d+(e-?\d+)?", "T", path.read_text())
+
+    def outputs(self, tmp_path, two, jobs, capsys):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        genunav = ["genunav", two, "--out", str(out / "x.unav"),
+                   "--progress-csv", str(out / "p.csv"), "--jobs", jobs]
+        solve = ["solve", two, "--seed-cuts", "0", "--trace-csv", str(out / "t.csv"),
+                 "--jobs", jobs]
+        assert main(genunav) == 0 and main(solve) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        files = {f.name: self.untimed(f) for f in out.iterdir()}
+        return stdout, files
+
+    def test_line_numbers_and_jobs(self, tmp_path, two, capsys):
+        sequential = self.outputs(tmp_path, two, "1", capsys)
+        assert sorted(sequential[1]) == [
+            "p.2.csv", "p.4.csv", "t.2.csv", "t.4.csv", "x.2.unav", "x.4.unav"
+        ]
+        assert "two.txt:2: " in sequential[0] and "two.txt:4: " in sequential[0]
+        assert self.outputs(tmp_path, two, "2", capsys) == sequential
+
+    def test_export_directories(self, tmp_path, two, capsys):
+        out_dir = tmp_path / "m"
+        assert main(["export", two, "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["instance_2", "instance_4"]
+        assert (out_dir / "instance_2" / "bilevel.lp").exists()
 
 
 class TestResultsCsv:
