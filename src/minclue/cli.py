@@ -2,8 +2,25 @@
 
 Every command reads instance files in the one-per-line text format (anything
 after whitespace on a line is a comment) and isolates per-instance failures.
-Each run of each instance appends one self-describing row to the results CSV
-when --results-csv is given. MSCP_LOG=debug|info|warning controls logging.
+Each command is one worker, ``worker(args, many, instance_id, token) ->
+(ok, text, record)``, over the parsed arguments. ``main`` runs it on every
+instance, in order or on ``--jobs`` processes, prints each text in input
+order and, when --results-csv is given, appends one self-describing row per
+instance and run. MSCP_LOG=debug|info|warning controls logging.
+
+Per-instance names: an instance is ``<file name>:<line>``. When a file holds
+more than one instance, each per-instance path (--out, --progress-csv,
+--trace-csv, and the --cuts-file that solve and export read) gets the line
+number before its suffix: ``--out x.unav`` means ``x.2.unav`` for line 2.
+export writes into ``<out-dir>/instance_<line>/``. genunav's default --out is
+the grid file with suffix ``.unav`` under the same rule, so a batch reads its
+own genunav output back with ``--cuts-file <grid_file stem>.unav``. A file
+with one instance uses every path as given.
+
+Flag ranges (anything else is a usage error, exit 2): --max-sets, --max-size,
+--max-cut-size and --jobs at least 1; --seed-cuts and --max-time at least 0;
+--budget comma-separated ``<seconds>[s]`` and ``<nodes>n`` parts, none
+negative.
 """
 from __future__ import annotations
 
@@ -67,7 +84,7 @@ def bucket_table(times: list[float]) -> list[tuple[str, int]]:
 
 
 def parse_budget(text: Optional[str]) -> SearchBudget:
-    """'60', '60s', '500000n', or '60s,500000n'."""
+    """'60', '60s', '500000n', or '60s,500000n'; ValueError if malformed or negative."""
     if not text:
         return SearchBudget()
     max_time = None
@@ -77,11 +94,11 @@ def parse_budget(text: Optional[str]) -> SearchBudget:
         if not part:
             continue
         if part.endswith("n"):
-            max_nodes = int(part[:-1])
-        elif part.endswith("s"):
-            max_time = float(part[:-1])
+            max_nodes = value = int(part[:-1])
         else:
-            max_time = float(part)
+            max_time = value = float(part.removesuffix("s"))
+        if not value >= 0:
+            raise ValueError(f"budget part {part!r} is not a non-negative number")
     return SearchBudget(max_nodes=max_nodes, max_time=max_time)
 
 
@@ -121,7 +138,7 @@ def _paired_instances(args) -> list[tuple[str, tuple[str, str]]]:
 
 
 def _derived_path(base: Optional[str], many: bool, instance_id: str) -> Optional[str]:
-    """Per-instance output path: line number inserted before the suffix."""
+    """Per-instance path: line number before the suffix in a batch."""
     if base is None:
         return None
     if not many:
@@ -131,11 +148,28 @@ def _derived_path(base: Optional[str], many: bool, instance_id: str) -> Optional
     return str(p.with_name(f"{p.stem}.{lineno}{p.suffix}"))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _at_least(low: int, convert=int):
+    """argparse type: a number read by `convert` that is at least `low`."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not value >= low:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return check
+
+
+def _budget_text(text: str) -> str:
+    """argparse type: a --budget that parse_budget accepts, kept as given."""
+    try:
+        parse_budget(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _genunav(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, dict]:
@@ -175,9 +209,8 @@ def _genunav(args, many: bool, instance_id: str, token: str) -> tuple[bool, str,
 
 def _solve(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, dict]:
     grid = parse_grid(token, infer_size(token))
-    seed_collection = None
-    if args.cuts_file:
-        seed_collection = load_collection(args.cuts_file, grid)
+    cuts_file = _derived_path(args.cuts_file, many, instance_id)
+    seed_collection = load_collection(cuts_file, grid) if cuts_file else None
     config = MscpConfig(
         initial_cuts=args.seed_cuts,
         max_cut_size=args.max_cut_size,
@@ -210,7 +243,8 @@ def _solve(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, d
             f"lower={result.lower_bound} upper={result.upper_bound}"
         )
     return True, text, {
-        "config": f"seed_cuts={args.seed_cuts};budget={args.budget or 'none'}",
+        "config": f"seed_cuts={args.seed_cuts};cuts_file={cuts_file or 'none'};"
+        f"max_cut_size={args.max_cut_size or 'none'};budget={args.budget or 'none'}",
         "status": result.status.value,
         "lower_bound": result.lower_bound,
         "upper_bound": result.upper_bound,
@@ -219,7 +253,9 @@ def _solve(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, d
     }
 
 
-def _verify(args, many: bool, instance_id: str, tokens: tuple[str, str]) -> tuple[bool, str, dict]:
+def _verify(
+    args, many: bool, instance_id: str, tokens: tuple[str, str]
+) -> tuple[bool, str, dict]:
     size = infer_size(tokens[0])
     grid = parse_grid(tokens[0], size)
     puzzle = parse_puzzle(tokens[1], size)
@@ -234,7 +270,8 @@ def _verify(args, many: bool, instance_id: str, tokens: tuple[str, str]) -> tupl
 
 def _export(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, dict]:
     grid = parse_grid(token, infer_size(token))
-    cuts = load_collection(args.cuts_file, grid) if args.cuts_file else None
+    cuts_file = _derived_path(args.cuts_file, many, instance_id)
+    cuts = load_collection(cuts_file, grid) if cuts_file else None
     out_dir = Path(args.out_dir)
     if many:
         out_dir /= f"instance_{instance_id.rsplit(':', 1)[1]}"
@@ -286,20 +323,27 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("genunav", "generate minimal unavoidable sets", _genunav)
-    p.add_argument("--max-sets", type=_positive_int, default=5000)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-time", type=float, default=None)
+    p.add_argument("--max-sets", type=_at_least(1), default=5000)
+    p.add_argument("--max-size", type=_at_least(1), default=None)
+    p.add_argument("--max-time", type=_at_least(0, float), default=None)
     p.add_argument("--out", default=None, help="collection file (default <grid_file>.unav)")
     p.add_argument("--progress-csv", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
 
     p = command("solve", "solve the minimum-clue problem", _solve)
-    p.add_argument("--seed-cuts", type=int, default=1000)
+    p.add_argument("--seed-cuts", type=_at_least(0), default=1000)
     p.add_argument("--cuts-file", default=None, help="reuse a genunav collection")
-    p.add_argument("--max-cut-size", type=int, default=None, help="cap seeded cut size")
-    p.add_argument("--budget", default=None, help="e.g. 300s, 2000000n, or 300s,2000000n")
+    p.add_argument(
+        "--max-cut-size", type=_at_least(1), default=None, help="cap seeded cut size"
+    )
+    p.add_argument(
+        "--budget",
+        type=_budget_text,
+        default=None,
+        help="e.g. 300s, 2000000n, or 300s,2000000n",
+    )
     p.add_argument("--trace-csv", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
 
     p = command("verify", "check a puzzle uniquely yields a grid", _verify, _paired_instances)
     p.add_argument("puzzle_file")
@@ -324,7 +368,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     many = len(instances) > 1
     run = partial(_run_one, args, many)
     if args.jobs <= 1 or not many:
-        outcomes = [run(instance_id, token) for instance_id, token in instances]
+        outcomes = list(map(run, *zip(*instances)))
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(run, *zip(*instances)))

@@ -236,6 +236,14 @@ class TestBatchNames:
         assert "two.txt:2: " in sequential[0] and "two.txt:4: " in sequential[0]
         assert self.outputs(tmp_path, two, "2", capsys) == sequential
 
+    def test_cuts_file_round_trip(self, tmp_path, two, capsys):
+        assert main(["genunav", two]) == 0  # writes two.2.unav and two.4.unav
+        cuts = str(tmp_path / "two.unav")
+        assert main(["solve", two, "--seed-cuts", "5", "--cuts-file", cuts, "--jobs", "2"]) == 0
+        out_dir = tmp_path / "m"
+        assert main(["export", two, "--cuts-file", cuts, "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "instance_4" / "cuts.lp").exists()
+
     def test_export_directories(self, tmp_path, two, capsys):
         out_dir = tmp_path / "m"
         assert main(["export", two, "--out-dir", str(out_dir)]) == 0
@@ -297,6 +305,17 @@ class TestResultsCsv:
             ("bad.txt:1", "export", "error:ConstraintViolationError"),
         ]
 
+    def test_solve_config_names_every_setting(self, tmp_path, grid4_file, capsys):
+        results = tmp_path / "results.csv"
+        for extra in ([], ["--max-cut-size", "4"]):
+            assert main(["solve", grid4_file, "--results-csv", str(results), *extra]) == 0
+        with open(results) as fh:
+            configs = [row["config"] for row in csv.DictReader(fh)]
+        assert configs == [
+            "seed_cuts=1000;cuts_file=none;max_cut_size=none;budget=none",
+            "seed_cuts=1000;cuts_file=none;max_cut_size=4;budget=none",
+        ]
+
     def test_one_record_per_run(self, tmp_path, grid4_file):
         results = tmp_path / "results.csv"
         for _ in range(3):
@@ -321,3 +340,28 @@ class TestBudgetParsing:
             main(["solve", grid_file, "--seed-cuts", "0", "--budget", "100000n"])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("solve", "--budget", "-5s"),
+            ("solve", "--budget", "abc"),
+            ("solve", "--seed-cuts", "-3"),
+            ("solve", "--max-cut-size", "0"),
+            ("solve", "--jobs", "0"),
+            ("genunav", "--max-size", "-1"),
+            ("genunav", "--max-time", "-1"),
+            ("genunav", "--max-time", "nan"),
+            ("genunav", "--jobs", "0"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, grid4_file, command, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main([command, grid4_file, f"{flag}={value}"])
+        assert err.value.code == 2
+
+    def test_negative_budget_part_raises(self):
+        with pytest.raises(ValueError):
+            parse_budget("-5s")
