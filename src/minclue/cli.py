@@ -362,7 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         instances = args.instances(args)
-    except GridError as exc:
+    except (GridError, OSError) as exc:
         print(f"ERROR {exc}")
         return 1
     many = len(instances) > 1

@@ -6,11 +6,12 @@ in ascending order. Every completion query (count, solve, alternate,
 enumeration) consumes the one propagating generator `_completions`, so they
 all see completions in the same search order. An alternate is the first
 completion, other than the target, of the target masked to its revealed
-cells: `find_alternate` asks for it on a Sudoku table, and the finder of
-`solver.latin_square_fcp_instance` on the box-free one, each under the IHS
-loop's budget share and reporting its nodes. Budgets are enforced as exact
-node counts (optionally wall-clock time) and surface as SearchInterrupted,
-never as a wrong answer.
+cells: `find_alternate` and the oracle of `solver.solve_mscp` ask for it
+on a Sudoku table, and the finder of `solver.latin_square_fcp_instance` on
+the box-free one, the oracles under the IHS loop's budget share and
+reporting their nodes. Budgets are enforced as exact node counts
+(optionally wall-clock time) and surface as SearchInterrupted, never as a
+wrong answer.
 
 Both searches read the unit table `grid._Geometry`. One list `used` holds a
 digit mask per slot (row r, column n + c, box 2n + b); a cell's candidates
@@ -333,17 +334,29 @@ class DeviationConstraint:
 class _DeviationSearch:
     """Resumable depth-first search for grids at exact deviation distance m.
 
-    `grids()` yields every grid at distance m that keeps a target cell in
-    each nogood, in search order: most-constrained cell first (ties by
-    index), digits ascending. While it is paused at a yield, `add_nogood`
-    may add that grid's own diff as a nogood, in place; on resume the
-    search continues with the next sibling of the deepest open frame.
-    That is exact: the grid reached distance m when that frame put its cell
-    off target, so the cell is in the diff. Every later grid assigns the
-    cell anew, so the off-target assignment that would complete the diff
-    happens after the nogood exists and is checked against it. Nogoods only
-    prune, and the branching order never depends on them, so the next grid
-    is the one a restart with the enlarged nogood list would find first.
+    One search object serves every distance of one target grid: `grids(m)`
+    yields every grid at distance m that keeps a target cell in each
+    nogood, in search order: most-constrained cell first (ties by index),
+    digits ascending. While it is paused at a yield, `add_nogood` may add
+    that grid's own diff as a nogood, in place; on resume the search
+    continues with the next sibling of the deepest open frame. That is
+    exact: the grid reached distance m when that frame put its cell off
+    target, so the cell is in the diff. Every later grid assigns the cell
+    anew, so the off-target assignment that would complete the diff happens
+    after the nogood exists and is checked against it. Nogoods only prune,
+    and the branching order never depends on them, so the next grid is the
+    one a restart with the enlarged nogood list would find first. Nogoods
+    stay for later distances.
+
+    Candidate table: each frame holds, per cell, the candidate mask
+    (`cands`) and the candidate count (`counts`, n + 1 once the cell is
+    assigned), plus the number of open cells that can still take a digit
+    other than their target (`deviatable`). A placement that descends hands
+    its child a copy of both lists in which only the cell and its open
+    peers that had the digit changed; backing out drops the copy. Each node
+    thus finds "some open cell has no candidate" and the branch cell (the
+    first with the fewest candidates) with `min(counts)` and
+    `counts.index`, without a scan of the open cells.
 
     Pruning: a digit whose target cell was overwritten must reappear in the
     same row/column/box at some other (necessarily deviating) cell, so the
@@ -353,26 +366,24 @@ class _DeviationSearch:
     when its cell mask is a subset of the mask of deviating cells.
     """
 
-    def __init__(self, constraint: DeviationConstraint, ticker: _Ticker):
-        grid = constraint.target
+    def __init__(self, grid: Grid, ticker: _Ticker):
         geo = _Geometry.get(grid.size.n, grid.size.s)
         self.geo = geo
-        self.m = constraint.exact_deviations
         self.ticker = ticker
-        self.target = list(grid.entries)
+        self.target = grid.entries
         self.off_target = [geo.full & ~(1 << (v - 1)) for v in self.target]
-        self.state = _State(geo, [0] * geo.cells)
-        # target digits of the assigned cells per slot: the open cells can
-        # all keep their target digits iff these equal the placed digits
-        self.t_used = [0] * len(geo.members)
         # pos[slot][v]: the cell holding target digit v in the slot
         self.pos = [[0] * (geo.n + 1) for _ in geo.members]
         for i, v in enumerate(self.target):
             for slot in geo.slots[i]:
                 self.pos[slot][v] = i
         self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
-        for group in constraint.nogoods:
-            self.add_nogood(group)
+        # what a node branching on cell i reads: its peers, its slots, its
+        # target digit and bit, its cell bit and its nogoods
+        self.branch_of = [
+            (geo.peers[i], geo.slots[i], v, 1 << (v - 1), 1 << i, self.nogoods_of[i])
+            for i, v in enumerate(self.target)
+        ]
 
     def add_nogood(self, cells) -> None:
         """Keep at least one of `cells` at its target digit from now on."""
@@ -382,56 +393,56 @@ class _DeviationSearch:
         for idx in indices:
             self.nogoods_of[idx].append(mask)
 
-    def grids(self) -> Iterator[tuple[int, ...]]:
-        return self._search(0, 0, 0, 0)
+    def grids(self, m: int) -> Iterator[tuple[int, ...]]:
+        """The grids at distance m, searched from the empty board."""
+        geo = self.geo
+        self.m = m
+        self.values = [0] * geo.cells
+        self.used = [0] * len(geo.members)
+        # target digits of the assigned cells per slot: the open cells can
+        # all keep their target digits iff these equal the placed digits
+        self.t_used = [0] * len(geo.members)
+        cands, counts = [geo.full] * geo.cells, [geo.n] * geo.cells
+        return self._search(0, 0, 0, 0, cands, counts, geo.cells)
 
     def _search(
-        self, deviating: int, row_total: int, col_total: int, box_total: int
+        self,
+        deviating: int,
+        row_total: int,
+        col_total: int,
+        box_total: int,
+        cands: list[int],
+        counts: list[int],
+        deviatable: int,
     ) -> Iterator[tuple[int, ...]]:
         """Grids below the current assignment; `deviating` is the mask of
-        deviating cells, the totals are the displaced-digit counts."""
+        deviating cells, the totals are the displaced-digit counts, and
+        `cands`, `counts` and `deviatable` are this frame's table."""
         m = self.m
         deviations = deviating.bit_count()
-        state = self.state
-        values = state.values
-        used = state.used
+        values = self.values
+        used = self.used
         if deviations == m:
             if used == self.t_used:
                 yield tuple(v or t for v, t in zip(values, self.target))
             return
-        geo = self.geo
-        slots, full = geo.slots, geo.full
-        off_target = self.off_target
-        best = -1
-        best_cand = 0
-        best_count = geo.n + 1
-        deviatable = 0
-        for i in state.empties:
-            if values[i]:
-                continue
-            r, c, b = slots[i]
-            cand = ~(used[r] | used[c] | used[b]) & full
-            if not cand:
-                return
-            if cand & off_target[i]:
-                deviatable += 1
-            count = cand.bit_count()
-            if count < best_count:
-                best, best_cand, best_count = i, cand, count
-        if deviations + deviatable < m:
-            # includes a complete assignment with fewer than m deviations
+        low = min(counts)
+        if not low or deviations + deviatable < m:
+            # the second test includes a complete assignment with fewer
+            # than m deviations
             return
-        cell_slots = slots[best]
+        best = counts.index(low)
+        peers, cell_slots, gv, gbit, cell_bit, nogoods = self.branch_of[best]
         r, c, b = cell_slots
-        gv = self.target[best]
-        gbit = 1 << (gv - 1)
-        cell_bit = 1 << best
+        off_target = self.off_target
         pos, t_used = self.pos, self.t_used
-        nogoods = self.nogoods_of[best]
         tick = self.ticker.tick
+        assigned = self.geo.n + 1
         for slot in cell_slots:
             t_used[slot] |= gbit
-        cand = best_cand
+        cand = cands[best]
+        # the children's count before their peers lose the placed digit
+        child_deviatable = deviatable - (cand & off_target[best] != 0)
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -441,8 +452,10 @@ class _DeviationSearch:
             for slot in cell_slots:
                 used[slot] |= bit
             if value == gv:
-                yield from self._search(deviating, row_total, col_total, box_total)
+                descend = True
+                dev, rt, ct, bt = deviating, row_total, col_total, box_total
             else:
+                descend = False
                 dev = deviating | cell_bit
                 for mask in nogoods:
                     if mask & dev == mask:
@@ -451,17 +464,25 @@ class _DeviationSearch:
                     # +1: the overwritten target digit is not yet elsewhere in
                     # the unit; -1: `value` was displaced from its own target
                     # cell in the unit and is now placed
-                    dr = (not used[r] & gbit) - (values[pos[r][value]] != 0)
-                    dc = (not used[c] & gbit) - (values[pos[c][value]] != 0)
-                    db = (not used[b] & gbit) - (values[pos[b][value]] != 0)
-                    bound = max(row_total + dr, col_total + dc, box_total + db)
-                    if deviations + 1 + bound <= m:
-                        yield from self._search(
-                            dev,
-                            row_total + dr,
-                            col_total + dc,
-                            box_total + db,
-                        )
+                    rt = row_total + (not used[r] & gbit) - (values[pos[r][value]] != 0)
+                    ct = col_total + (not used[c] & gbit) - (values[pos[c][value]] != 0)
+                    bt = box_total + (not used[b] & gbit) - (values[pos[b][value]] != 0)
+                    descend = deviations + 1 + max(rt, ct, bt) <= m
+            if descend:
+                child_cands, child_counts = cands[:], counts[:]
+                child_cands[best], child_counts[best] = 0, assigned
+                left_deviatable = child_deviatable
+                for p in peers:
+                    had = child_cands[p]
+                    if had & bit:
+                        child_cands[p] = had ^ bit
+                        child_counts[p] -= 1
+                        if had & off_target[p] == bit:
+                            # `bit` was the peer's last non-target digit
+                            left_deviatable -= 1
+                yield from self._search(
+                    dev, rt, ct, bt, child_cands, child_counts, left_deviatable
+                )
             values[best] = 0
             for slot in cell_slots:
                 used[slot] ^= bit
@@ -478,7 +499,10 @@ def find_deviating_grid(
     nogoods, or None when no such grid exists."""
     ticker = _Ticker(budget)
     try:
-        values = next(_DeviationSearch(constraint, ticker).grids(), None)
+        search = _DeviationSearch(constraint.target, ticker)
+        for group in constraint.nogoods:
+            search.add_nogood(group)
+        values = next(search.grids(constraint.exact_deviations), None)
     finally:
         ticker.record(stats)
     if values is None:

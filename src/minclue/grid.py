@@ -112,12 +112,14 @@ class _Geometry:
     """The unit table of side n and box side s, cached by (n, s).
 
     `slots[i]` is cell i's (row, column, box) slot triple, `members[slot]`
-    lists the slot's cells in index order, and `units` lists the slots that
-    constrain, in the order row u, column u, box u. s = 0 means no boxes
-    (Latin squares): slot 2n + r mirrors row r and is left out of `units`.
+    lists the slot's cells in index order, `peers[i]` the other cells that
+    share a slot with cell i, in index order, and `units` lists the slots
+    that constrain, in the order row u, column u, box u. s = 0 means no
+    boxes (Latin squares): slot 2n + r mirrors row r and is left out of
+    `units`.
     """
 
-    __slots__ = ("n", "cells", "full", "slots", "members", "units")
+    __slots__ = ("n", "cells", "full", "slots", "members", "peers", "units")
 
     _cache: dict[tuple[int, int], "_Geometry"] = {}
 
@@ -133,6 +135,10 @@ class _Geometry:
             self.slots.append(cell_slots)
             for slot in cell_slots:
                 self.members[slot].append(i)
+        self.peers: list[tuple[int, ...]] = [
+            tuple(sorted({j for slot in cell_slots for j in self.members[slot]} - {i}))
+            for i, cell_slots in enumerate(self.slots)
+        ]
         self.units = [k * n + u for u in range(n) for k in range(3 if s else 2)]
 
     @classmethod

@@ -8,11 +8,12 @@ certificate agreeing with the target on the candidate clue set. Either the
 oracle finds none, which proves the candidate is a valid clue set of
 minimum size, or the indices where its answer differs yield a new minimal
 cut and the loop repeats; every oracle answer is checked. Callers:
-`solve_mscp` (a Sudoku grid's cells in row-major order, oracle
-`find_alternate`), and `fcp_solve` on `latin_square_fcp_instance` or on
-any user-built `FcpInstance`. Every oracle has the one signature
-`(revealed, budget, stats) -> certificate or None`, so its search nodes
-count toward a solve's node budget whoever the caller is.
+`solve_mscp` (a Sudoku grid's cells in row-major order) and `fcp_solve` on
+`latin_square_fcp_instance`, both with the oracle `_table_alternate` on
+their unit tables, or `fcp_solve` on any user-built `FcpInstance`. Every
+oracle has the one signature `(revealed, budget, stats) -> certificate or
+None`, so its search nodes count toward a solve's node budget whoever the
+caller is.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .engine import (
     _first,
     _solutions,
     count_solutions,
+    # not called here; perfbench/tracing.py wraps this module's name for it
     find_alternate,
 )
 from .grid import CluePattern, Grid, _Geometry, _scan_units, apply_pattern
@@ -214,6 +216,17 @@ def _alternate_diff(
     return diff
 
 
+def _table_alternate(geo: _Geometry, target: tuple) -> _Alternate:
+    """The loop's oracle on a unit table: the first completion, other than
+    the target, of the target masked to the revealed indices."""
+
+    def alternate(revealed: frozenset, budget: SearchBudget, stats: SearchStats):
+        entries = [v if i in revealed else 0 for i, v in enumerate(target)]
+        return _first(_solutions(geo, entries, budget, stats), skip=target)
+
+    return alternate
+
+
 def _ihs_loop(
     target: tuple,
     alternate: _Alternate,
@@ -301,7 +314,8 @@ def _ihs_loop(
             note(iteration)
         status = MscpStatus.OPTIMAL
     except SearchInterrupted:
-        pass
+        # cuts added since the last exact solve still bound the optimum
+        lower = max(lower, disjoint_packing_bound(HittingInstance.build(universe, cuts)))
     note(iteration)
 
     return FcpResult(
@@ -312,8 +326,9 @@ def _ihs_loop(
 def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     """Minimum number of clues (with witness pattern) pinning g uniquely.
 
-    Runs the hitting-set loop over g's cells in row-major index order,
-    with `find_alternate` as its oracle. The cut family is seeded from
+    Runs the hitting-set loop over g's cells in row-major index order; its
+    oracle asks the propagating search for an alternate directly, as
+    `find_alternate` does. The cut family is seeded from
     `config.seed_collection`, whose sets are each checked to be unavoidable
     first, or else from the unavoidable-set generator, which may spend at
     most half of the time and half of the nodes of the budget. One clock
@@ -326,11 +341,7 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     budget = _LoopBudget(cfg.solve_budget)
     cells = g.size.all_cells()
     index_of = {cell: i for i, cell in enumerate(cells)}
-
-    def alternate(revealed: frozenset, share: SearchBudget, stats: SearchStats):
-        pattern = CluePattern(g.size, [i in revealed for i in range(len(cells))])
-        alt = find_alternate(g, pattern, share, stats)
-        return None if alt is None else alt.entries
+    alternate = _table_alternate(_Geometry.get(g.size.n, g.size.s), g.entries)
 
     certificate = UnavoidableCollection(grid_fingerprint(g), g.size.n)
     with suppress(SearchInterrupted):
@@ -427,9 +438,4 @@ def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
     # n symbols, none repeated in a row or column
     geo = _Geometry.get(n, 0)
     _scan_units(geo, target)
-
-    def alternate(revealed: frozenset, budget: SearchBudget, stats: SearchStats):
-        entries = [v if i in revealed else 0 for i, v in enumerate(target)]
-        return _first(_solutions(geo, entries, budget, stats), skip=target)
-
-    return FcpInstance(target, alternate)
+    return FcpInstance(target, _table_alternate(geo, target))

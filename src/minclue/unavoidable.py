@@ -17,7 +17,6 @@ from time import perf_counter
 from typing import Callable, Iterable, Optional
 
 from .engine import (
-    DeviationConstraint,
     SearchBudget,
     SearchInterrupted,
     SearchStats,
@@ -240,24 +239,24 @@ def generate_all(
 ) -> UnavoidableCollection:
     """Enumerate minimal unavoidable sets in nondecreasing size order.
 
-    For each deviation distance m one search runs until no further grid
-    exists at that distance; each emitted set becomes a nogood in place, and
-    the search resumes from where it stopped instead of restarting.
-    Excluding emitted sets guarantees each new set is itself minimal, so no
-    shrinking pass is needed. `progress` receives (set_index, m, seconds)
+    One deviation search object serves the whole run: for each distance
+    m = 1, 2, ... it runs until no further grid exists at that distance.
+    Each emitted set becomes a nogood in place, kept for every later
+    distance, and the search resumes from where it stopped instead of
+    restarting. Excluding emitted sets guarantees each new set is itself
+    minimal, so no shrinking pass is needed. `progress` receives (set_index, m, seconds)
     per emitted set. The node and time `budget` covers the whole run; using
     it up cuts the run short and flags the collection incomplete rather
     than returning a wrong answer.
     """
     collection = UnavoidableCollection(grid_fingerprint(g), g.size.n)
     ticker = _Ticker(budget)
+    search = _DeviationSearch(g, ticker)
     max_size = limits.max_size if limits.max_size is not None else g.size.cell_count
     max_size = min(max_size, g.size.cell_count)
     try:
         for m in range(1, max_size + 1):
-            excluded = tuple(collection.family())
-            search = _DeviationSearch(DeviationConstraint(g, m, excluded), ticker)
-            for values in search.grids():
+            for values in search.grids(m):
                 elapsed = perf_counter() - ticker.started
                 cells = diff_cells(g, Grid(g.size, values))
                 record = SetRecord(cells, len(collection), m, elapsed)

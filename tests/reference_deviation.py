@@ -1,0 +1,161 @@
+"""Reference deviation search: the rescanning form of `_DeviationSearch`.
+
+At every node it rescans all open cells for their candidates, the
+deviatable count and the branch cell, where the library keeps an
+incremental candidate table. Branch order, tick placement, pruning and
+tie-breaking are the same, so both must emit the same grids in the same
+order with the same node counts.
+"""
+from __future__ import annotations
+
+from typing import Iterator, Optional
+
+from minclue import (
+    DeviationConstraint,
+    GenerationLimits,
+    Grid,
+    SearchStats,
+    diff_cells,
+)
+from minclue.engine import _State, _Ticker
+from minclue.grid import _Geometry
+
+
+class RescanningSearch:
+    """Grids at distance `constraint.exact_deviations`, nogoods added in
+    place while paused at a yield; one object per distance."""
+
+    def __init__(self, constraint: DeviationConstraint, ticker: _Ticker):
+        grid = constraint.target
+        geo = _Geometry.get(grid.size.n, grid.size.s)
+        self.geo = geo
+        self.m = constraint.exact_deviations
+        self.ticker = ticker
+        self.target = list(grid.entries)
+        self.off_target = [geo.full & ~(1 << (v - 1)) for v in self.target]
+        self.state = _State(geo, [0] * geo.cells)
+        self.t_used = [0] * len(geo.members)
+        self.pos = [[0] * (geo.n + 1) for _ in geo.members]
+        for i, v in enumerate(self.target):
+            for slot in geo.slots[i]:
+                self.pos[slot][v] = i
+        self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
+        for group in constraint.nogoods:
+            self.add_nogood(group)
+
+    def add_nogood(self, cells) -> None:
+        n = self.geo.n
+        indices = {(cell.row - 1) * n + (cell.col - 1) for cell in cells}
+        mask = sum(1 << idx for idx in indices)
+        for idx in indices:
+            self.nogoods_of[idx].append(mask)
+
+    def grids(self) -> Iterator[tuple[int, ...]]:
+        return self._search(0, 0, 0, 0)
+
+    def _search(self, deviating, row_total, col_total, box_total):
+        m = self.m
+        deviations = deviating.bit_count()
+        state = self.state
+        values = state.values
+        used = state.used
+        if deviations == m:
+            if used == self.t_used:
+                yield tuple(v or t for v, t in zip(values, self.target))
+            return
+        geo = self.geo
+        slots, full = geo.slots, geo.full
+        off_target = self.off_target
+        best = -1
+        best_cand = 0
+        best_count = geo.n + 1
+        deviatable = 0
+        for i in state.empties:
+            if values[i]:
+                continue
+            r, c, b = slots[i]
+            cand = ~(used[r] | used[c] | used[b]) & full
+            if not cand:
+                return
+            if cand & off_target[i]:
+                deviatable += 1
+            count = cand.bit_count()
+            if count < best_count:
+                best, best_cand, best_count = i, cand, count
+        if deviations + deviatable < m:
+            return
+        cell_slots = slots[best]
+        r, c, b = cell_slots
+        gv = self.target[best]
+        gbit = 1 << (gv - 1)
+        cell_bit = 1 << best
+        pos, t_used = self.pos, self.t_used
+        nogoods = self.nogoods_of[best]
+        tick = self.ticker.tick
+        for slot in cell_slots:
+            t_used[slot] |= gbit
+        cand = best_cand
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            value = bit.bit_length()
+            tick()
+            values[best] = value
+            for slot in cell_slots:
+                used[slot] |= bit
+            if value == gv:
+                yield from self._search(deviating, row_total, col_total, box_total)
+            else:
+                dev = deviating | cell_bit
+                for mask in nogoods:
+                    if mask & dev == mask:
+                        break
+                else:
+                    dr = (not used[r] & gbit) - (values[pos[r][value]] != 0)
+                    dc = (not used[c] & gbit) - (values[pos[c][value]] != 0)
+                    db = (not used[b] & gbit) - (values[pos[b][value]] != 0)
+                    bound = max(row_total + dr, col_total + dc, box_total + db)
+                    if deviations + 1 + bound <= m:
+                        yield from self._search(
+                            dev, row_total + dr, col_total + dc, box_total + db
+                        )
+            values[best] = 0
+            for slot in cell_slots:
+                used[slot] ^= bit
+        for slot in cell_slots:
+            t_used[slot] ^= gbit
+
+
+def reference_deviating_grid(
+    constraint: DeviationConstraint, stats: Optional[SearchStats] = None
+) -> Optional[Grid]:
+    """`find_deviating_grid` on the rescanning search, without a budget."""
+    ticker = _Ticker(None)
+    values = next(RescanningSearch(constraint, ticker).grids(), None)
+    ticker.record(stats)
+    return None if values is None else Grid(constraint.target.size, values)
+
+
+def reference_generate(
+    g: Grid, limits: GenerationLimits, stats: Optional[SearchStats] = None
+) -> tuple[list[tuple], bool]:
+    """`generate_all` on the rescanning search, one search per distance:
+    the emitted (set, discovered size) pairs in order, and completeness."""
+    ticker = _Ticker(None)
+    out: list[tuple] = []
+    complete = True
+    max_size = min(limits.max_size or g.size.cell_count, g.size.cell_count)
+    for m in range(1, max_size + 1):
+        excluded = tuple(cells.as_frozenset() for cells, _ in out)
+        search = RescanningSearch(DeviationConstraint(g, m, excluded), ticker)
+        for values in search.grids():
+            cells = diff_cells(g, Grid(g.size, values))
+            out.append((cells, m))
+            search.add_nogood(cells)
+            if len(out) >= limits.max_sets:
+                complete = False
+                break
+        if not complete:
+            break
+    ticker.record(stats)
+    return out, complete

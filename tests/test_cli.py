@@ -41,10 +41,10 @@ class TestVerify:
         assert main(["verify", g, p]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         g = write(tmp_path / "g.txt", FIG_GRID_TEXT)
-        with pytest.raises(FileNotFoundError):
-            main(["verify", g, str(tmp_path / "nope.txt")])
+        assert main(["verify", g, str(tmp_path / "nope.txt")]) == 1
+        assert capsys.readouterr().out.startswith("ERROR ")
 
 
 class TestGenunav:
@@ -119,6 +119,10 @@ class TestSolve:
             "elapsed_seconds",
         ]
 
+    def test_missing_grid_file(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path / "absent.txt")]) == 1
+        assert capsys.readouterr().out.startswith("ERROR ")
+
     def test_batch_isolates_failures(self, tmp_path, grids4, capsys):
         good = "".join(str(v) for v in grids4[0])
         bad = "1134341221434321"
@@ -184,9 +188,9 @@ class TestExportCommand:
         out = capsys.readouterr().out
         assert "811 variables, 407 constraint rows" in out
 
-    def test_missing_grid_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["export", str(tmp_path / "absent.txt")])
+    def test_missing_grid_file(self, tmp_path, capsys):
+        assert main(["export", str(tmp_path / "absent.txt")]) == 1
+        assert capsys.readouterr().out.startswith("ERROR ")
 
     def test_cuts_file_with_avoidable_sets_fails(self, tmp_path, grids4, capsys):
         grid_file, cuts = single_cell_cuts(tmp_path, grids4[0])

@@ -1,17 +1,23 @@
-"""Property tests: 4x4 optima under relabelling, and Sudoku as one
-fewest-clue instance of the generic loop."""
+"""Property tests: 4x4 optima under relabelling, Sudoku as one fewest-clue
+instance of the generic loop, and the deviation search against its
+rescanning reference."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minclue import (
+    Cell,
     CluePattern,
+    DeviationConstraint,
     FcpInstance,
     Grid,
     MscpConfig,
+    SearchStats,
     fcp_solve,
     find_alternate,
+    find_deviating_grid,
     solve_mscp,
 )
+from reference_deviation import reference_deviating_grid
 
 BARE = MscpConfig(initial_cuts=0)
 
@@ -61,3 +67,17 @@ def test_sudoku_is_one_fewest_clue_instance(grid4_objects, idx):
     assert [(t.lower, t.upper, t.certificate_size) for t in fcp.trace] == [
         (t.lower, t.upper, t.certificate_size) for t in mscp.trace
     ]
+
+
+cell4 = st.builds(Cell, st.integers(1, 4), st.integers(1, 4))
+nogood_family = st.lists(st.frozensets(cell4, min_size=1, max_size=6), max_size=5)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(grid_index, st.integers(min_value=1, max_value=16), nogood_family)
+def test_deviation_search_matches_rescanning_reference(grid4_objects, idx, m, nogoods):
+    constraint = DeviationConstraint(grid4_objects[idx], m, tuple(nogoods))
+    stats, ref_stats = SearchStats(), SearchStats()
+    got = find_deviating_grid(constraint, stats=stats)
+    assert got == reference_deviating_grid(constraint, ref_stats)
+    assert stats.nodes == ref_stats.nodes

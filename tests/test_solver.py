@@ -231,6 +231,16 @@ class TestBudgetedSolve:
         assert verify_validity(figure_grid, result.best_pattern)
         assert result.best_pattern.cardinality() == result.upper_bound
 
+    @pytest.mark.parametrize("max_nodes", [1000, 3000])
+    def test_no_lower_bound_0_with_a_cut_in_hand(self, figure_grid, max_nodes):
+        # the budget ends in the second hitting-set solve, after the first
+        # iteration's cut; that one cut already gives lower bound 1
+        cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=max_nodes))
+        result = solve_mscp(figure_grid, cfg)
+        assert len(result.certificate) >= 1
+        assert 1 <= result.lower_bound <= 17 <= result.upper_bound
+        assert result.trace[-1].lower == result.lower_bound
+
     def test_figure_grid_node_budget_reaches_lower_9(self, figure_grid):
         cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000))
         result = solve_mscp(figure_grid, cfg)

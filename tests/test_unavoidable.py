@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import BLUE, GREEN, RED
+from reference_deviation import reference_generate
 from minclue import (
     Cell,
     CluePattern,
@@ -132,9 +133,13 @@ class TestGenerateAll:
     @pytest.mark.parametrize("idx", range(0, 288, 29))
     def test_4x4_sequence_matches_restarts(self, grid4_objects, idx):
         grid = grid4_objects[idx]
-        coll = generate_all(grid, GenerationLimits(max_sets=5000))
+        limits = GenerationLimits(max_sets=5000)
+        stats, ref_stats = SearchStats(), SearchStats()
+        coll = generate_all(grid, limits, stats=stats)
         assert coll.complete
         assert emitted(coll) == restart_reference(grid, 5000)
+        assert (emitted(coll), True) == reference_generate(grid, limits, ref_stats)
+        assert stats.nodes == ref_stats.nodes
 
     def test_figure_sequence_matches_restarts(self, figure_grid):
         coll = generate_all(figure_grid, GenerationLimits(max_sets=8))
@@ -142,10 +147,12 @@ class TestGenerateAll:
 
     def test_figure_node_gate(self, figure_grid):
         # restarting the search after every set took 651,285 nodes here
-        stats = SearchStats()
-        coll = generate_all(figure_grid, GenerationLimits(max_sets=24), stats=stats)
+        limits = GenerationLimits(max_sets=24)
+        stats, ref_stats = SearchStats(), SearchStats()
+        coll = generate_all(figure_grid, limits, stats=stats)
         assert len(coll) == 24
-        assert stats.nodes <= 200_000
+        assert (emitted(coll), False) == reference_generate(figure_grid, limits, ref_stats)
+        assert stats.nodes == ref_stats.nodes == 162_492
 
     def test_no_superset_emissions(self, grid4_objects):
         coll = generate_all(grid4_objects[200], GenerationLimits(max_sets=5000))
