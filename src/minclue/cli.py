@@ -174,11 +174,9 @@ def _budget_text(text: str) -> str:
 
 def _genunav(args, many: bool, instance_id: str, token: str) -> tuple[bool, str, dict]:
     grid = parse_grid(token, infer_size(token))
-    progress_rows: list[tuple[int, int, float]] = []
     collection = generate_all(
         grid,
         GenerationLimits(max_sets=args.max_sets, max_size=args.max_size),
-        progress=lambda idx, m, sec: progress_rows.append((idx, m, sec)),
         budget=SearchBudget(max_time=args.max_time),
     )
     default_out = str(Path(args.grid_file).with_suffix(".unav"))
@@ -189,13 +187,12 @@ def _genunav(args, many: bool, instance_id: str, token: str) -> tuple[bool, str,
         with open(progress_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["set_index", "m", "elapsed_seconds"])
-            writer.writerows(progress_rows)
-    deltas = []
-    prev = 0.0
-    for _, _, sec in progress_rows:
-        deltas.append(sec - prev)
-        prev = sec
-    table = bucket_table(deltas)
+            writer.writerows(
+                (index, rec.cells.size, rec.seconds)
+                for index, rec in enumerate(collection.records)
+            )
+    seconds = [0.0] + [rec.seconds for rec in collection.records]
+    table = bucket_table([b - a for a, b in zip(seconds, seconds[1:])])
     lines = [f"{instance_id}: {len(collection)} sets -> {out_path}"]
     lines.append("generation time [s]   sets")
     for label, count in table:

@@ -385,10 +385,9 @@ class _DeviationSearch:
             for i, v in enumerate(self.target)
         ]
 
-    def add_nogood(self, cells) -> None:
-        """Keep at least one of `cells` at its target digit from now on."""
-        n = self.geo.n
-        indices = {(cell.row - 1) * n + (cell.col - 1) for cell in cells}
+    def add_nogood(self, indices: Sequence[int]) -> None:
+        """Keep at least one of the distinct row-major cell `indices` at
+        its target digit from now on."""
         mask = sum(1 << idx for idx in indices)
         for idx in indices:
             self.nogoods_of[idx].append(mask)
@@ -500,8 +499,9 @@ def find_deviating_grid(
     ticker = _Ticker(budget)
     try:
         search = _DeviationSearch(constraint.target, ticker)
+        n = constraint.target.size.n
         for group in constraint.nogoods:
-            search.add_nogood(group)
+            search.add_nogood([(cell.row - 1) * n + cell.col - 1 for cell in group])
         values = next(search.grids(constraint.exact_deviations), None)
     finally:
         ticker.record(stats)

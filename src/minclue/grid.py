@@ -165,7 +165,9 @@ def _scan_units(geo: _Geometry, entries: Sequence[int]) -> None:
                 seen[slot] |= bit
 
 
-def _check_entries(size: GridSize, entries: Sequence[int], allow_empty: bool) -> tuple[int, ...]:
+def _check_entries(size: GridSize, entries: Iterable[int], allow_empty: bool) -> tuple[int, ...]:
+    """The entries as a tuple, after the one count, range and unit check
+    that every board runs; 0 (an empty cell) only when `allow_empty`."""
     entries = tuple(int(v) for v in entries)
     if len(entries) != size.cell_count:
         raise LengthMismatchError(
@@ -179,14 +181,19 @@ def _check_entries(size: GridSize, entries: Sequence[int], allow_empty: bool) ->
     return entries
 
 
-class Grid:
-    """A completed board: every row, column, and box holds each digit once."""
+class _Board:
+    """Row-major entries of one board, checked once by `_check_entries`.
+
+    The shared base of Grid and Puzzle; only a Puzzle may hold 0, an empty
+    cell. Boards of different classes never compare equal.
+    """
 
     __slots__ = ("size", "_entries")
+    _allow_empty = False
 
     def __init__(self, size: GridSize, entries: Iterable[int]):
         self.size = size
-        self._entries = _check_entries(size, tuple(entries), allow_empty=False)
+        self._entries = _check_entries(size, entries, self._allow_empty)
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -200,7 +207,7 @@ class Grid:
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, Grid)
+            type(other) is type(self)
             and self.size == other.size
             and self._entries == other._entries
         )
@@ -209,44 +216,24 @@ class Grid:
         return hash((self.size, self._entries))
 
     def __repr__(self) -> str:
-        return f"Grid({self.size.n}x{self.size.n}, {serialize(self)!r})"
+        return f"{type(self).__name__}({self.size.n}x{self.size.n}, {serialize(self)!r})"
 
 
-class Puzzle:
+class Grid(_Board):
+    """A completed board: every row, column, and box holds each digit once."""
+
+    __slots__ = ()
+
+
+class Puzzle(_Board):
     """A partially given board; 0 marks an empty cell. Givens may not clash."""
 
-    __slots__ = ("size", "_entries")
-
-    def __init__(self, size: GridSize, entries: Iterable[int]):
-        self.size = size
-        self._entries = _check_entries(size, tuple(entries), allow_empty=True)
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return self._entries
-
-    def entry(self, row: int, col: int) -> int:
-        return self._entries[(row - 1) * self.size.n + (col - 1)]
-
-    def __getitem__(self, cell: Cell) -> int:
-        return self.entry(cell.row, cell.col)
+    __slots__ = ()
+    _allow_empty = True
 
     @property
     def givens_count(self) -> int:
         return sum(1 for v in self._entries if v)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Puzzle)
-            and self.size == other.size
-            and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.size, self._entries))
-
-    def __repr__(self) -> str:
-        return f"Puzzle({self.size.n}x{self.size.n}, {serialize(self)!r})"
 
 
 class CluePattern:
@@ -302,55 +289,32 @@ class CluePattern:
         return f"CluePattern({self.size.n}x{self.size.n}, {self.cardinality()} cells)"
 
 
-def _parse_entries(text: str, size: GridSize, allow_empty: bool) -> list[int]:
-    """Digits 1..n, one character per cell for n <= 9; comma separated above.
+def _parse_entries(text: str, size: GridSize) -> list[int]:
+    """One character per cell for n <= 9; comma-separated tokens above.
 
-    '.' and '0' both denote an empty cell on input.
+    '.', '0' and a blank comma token denote an empty cell; every other token
+    must be ASCII digits. The board checks the count and the range.
     """
+    tokens = list(text) if size.n <= 9 else [tok.strip() for tok in text.split(",")]
     entries: list[int] = []
-    if size.n <= 9:
-        if len(text) != size.cell_count:
-            raise LengthMismatchError(
-                f"expected {size.cell_count} characters, got {len(text)}"
-            )
-        for ch in text:
-            if ch in ".0":
-                entries.append(0)
-            elif ch.isdigit() and 1 <= int(ch) <= size.n:
-                entries.append(int(ch))
-            else:
-                raise IllegalCharacterError(f"illegal character {ch!r}")
-    else:
-        tokens = text.split(",")
-        if len(tokens) != size.cell_count:
-            raise LengthMismatchError(
-                f"expected {size.cell_count} comma-separated entries, got {len(tokens)}"
-            )
-        for tok in tokens:
-            tok = tok.strip()
-            if tok in (".", "0", ""):
-                entries.append(0)
-            else:
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise IllegalCharacterError(f"illegal entry {tok!r}") from None
-                if not (1 <= v <= size.n):
-                    raise IllegalCharacterError(f"entry {v} outside [1, {size.n}]")
-                entries.append(v)
-    if not allow_empty and any(v == 0 for v in entries):
-        raise IllegalCharacterError("empty cell in a completed grid")
+    for tok in tokens:
+        if tok in (".", ""):
+            entries.append(0)
+        elif tok.isascii() and tok.isdigit():
+            entries.append(int(tok))
+        else:
+            raise IllegalCharacterError(f"illegal entry {tok!r}")
     return entries
 
 
 def parse_grid(text: str, size: GridSize) -> Grid:
     """Parse a single-line completed grid; rejects any constraint violation."""
-    return Grid(size, _parse_entries(text, size, allow_empty=False))
+    return Grid(size, _parse_entries(text, size))
 
 
 def parse_puzzle(text: str, size: GridSize) -> Puzzle:
     """Parse a single-line puzzle; '.' or '0' mark empty cells."""
-    return Puzzle(size, _parse_entries(text, size, allow_empty=True))
+    return Puzzle(size, _parse_entries(text, size))
 
 
 def serialize(board: Union[Grid, Puzzle]) -> str:

@@ -370,15 +370,7 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
 
     # the loop adds its k-th cut in iteration k + 1, noted in trace[k]
     for cut, entry in zip(outcome.certificate[len(seeds):], outcome.trace):
-        members = UnavoidableSet(cells[i] for i in cut)
-        certificate.add(
-            SetRecord(
-                members,
-                index=len(certificate),
-                discovered_size=members.size,
-                seconds=entry.elapsed,
-            )
-        )
+        certificate.add(SetRecord(UnavoidableSet(cells[i] for i in cut), entry.elapsed))
 
     return MscpResult(
         status=outcome.status,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .engine import (
     SearchBudget,
@@ -107,11 +107,10 @@ class UnavoidableSet:
 
 @dataclass(frozen=True)
 class SetRecord:
-    """One stored set plus its generation metadata."""
+    """One stored set and the seconds from the start of its run to its
+    discovery. Its index (the position) and size are written, not stored."""
 
     cells: UnavoidableSet
-    index: int
-    discovered_size: int
     seconds: float
 
 
@@ -233,7 +232,6 @@ def minimalize(
 def generate_all(
     g: Grid,
     limits: GenerationLimits = GenerationLimits(),
-    progress: Optional[Callable[[int, int, float], None]] = None,
     stats: Optional[SearchStats] = None,
     budget: Optional[SearchBudget] = None,
 ) -> UnavoidableCollection:
@@ -244,26 +242,24 @@ def generate_all(
     Each emitted set becomes a nogood in place, kept for every later
     distance, and the search resumes from where it stopped instead of
     restarting. Excluding emitted sets guarantees each new set is itself
-    minimal, so no shrinking pass is needed. `progress` receives (set_index, m, seconds)
-    per emitted set. The node and time `budget` covers the whole run; using
-    it up cuts the run short and flags the collection incomplete rather
-    than returning a wrong answer.
+    minimal, so no shrinking pass is needed. Each record's `seconds` is the
+    time from the call to the set's discovery. The node and time `budget`
+    covers the whole run; using it up cuts the run short and flags the
+    collection incomplete rather than returning a wrong answer.
     """
     collection = UnavoidableCollection(grid_fingerprint(g), g.size.n)
     ticker = _Ticker(budget)
     search = _DeviationSearch(g, ticker)
     max_size = limits.max_size if limits.max_size is not None else g.size.cell_count
     max_size = min(max_size, g.size.cell_count)
+    cells = g.size.all_cells()
     try:
         for m in range(1, max_size + 1):
             for values in search.grids(m):
                 elapsed = perf_counter() - ticker.started
-                cells = diff_cells(g, Grid(g.size, values))
-                record = SetRecord(cells, len(collection), m, elapsed)
-                collection.add(record)
-                search.add_nogood(cells)
-                if progress is not None:
-                    progress(record.index, m, elapsed)
+                diff = [i for i, (v, t) in enumerate(zip(values, g.entries)) if v != t]
+                collection.add(SetRecord(UnavoidableSet(cells[i] for i in diff), elapsed))
+                search.add_nogood(diff)
                 if len(collection) >= limits.max_sets:
                     collection.complete = False
                     break
@@ -279,16 +275,21 @@ _HEADER_PREFIX = "MSCPUNAV v1"
 
 
 def save_collection(collection: UnavoidableCollection, path) -> None:
-    """Plain-text dump: header, then one set per line with its metadata."""
+    """Plain-text dump: header, then one set per line with its metadata.
+
+    A set line reads `m=<size>: r,c r,c ... # index=<k> found_at_m=<size>
+    seconds=<s>`. `index` (the position) and `found_at_m` (the size) are
+    written for readers of the file; they are not stored in the records.
+    """
     lines = [
         f"{_HEADER_PREFIX} n={collection.n} fingerprint={collection.fingerprint} "
         f"complete={int(collection.complete)}"
     ]
-    for rec in collection.records:
+    for index, rec in enumerate(collection.records):
         cells = " ".join(f"{c.row},{c.col}" for c in rec.cells)
         lines.append(
             f"m={rec.cells.size}: {cells} "
-            f"# index={rec.index} found_at_m={rec.discovered_size} seconds={rec.seconds!r}"
+            f"# index={index} found_at_m={rec.cells.size} seconds={rec.seconds!r}"
         )
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -296,7 +297,9 @@ def save_collection(collection: UnavoidableCollection, path) -> None:
 
 def load_collection(path, grid: Optional[Grid] = None) -> UnavoidableCollection:
     """Read a collection back, verifying header, antichain, and (when a grid
-    is supplied) the grid fingerprint."""
+    is supplied) the grid fingerprint. The optional `index` and
+    `found_at_m` comments must be integers; save_collection rewrites them
+    from the position and the size."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
@@ -339,13 +342,10 @@ def load_collection(path, grid: Optional[Grid] = None) -> UnavoidableCollection:
             if cell.row > n or cell.col > n:
                 raise CorruptCollectionError(f"line {lineno}: cell {cell} out of bounds")
         try:
-            record = SetRecord(
-                UnavoidableSet(cells),
-                index=int(meta.get("index", len(collection))),
-                discovered_size=int(meta.get("found_at_m", declared)),
-                seconds=float(meta.get("seconds", 0.0)),
-            )
+            # written from the position and the size: checked, not kept
+            int(meta.get("index", 0)), int(meta.get("found_at_m", 0))
+            seconds = float(meta.get("seconds", 0.0))
         except ValueError as exc:
             raise CorruptCollectionError(f"line {lineno}: bad metadata") from exc
-        collection.add(record)
+        collection.add(SetRecord(UnavoidableSet(cells), seconds))
     return collection

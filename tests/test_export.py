@@ -22,7 +22,7 @@ from minclue.unavoidable import SetRecord
 
 def green_collection(figure_grid):
     coll = UnavoidableCollection(grid_fingerprint(figure_grid), 9)
-    coll.add(SetRecord(UnavoidableSet(GREEN), 0, 4, 0.0))
+    coll.add(SetRecord(UnavoidableSet(GREEN), 0.0))
     return coll
 
 

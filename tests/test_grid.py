@@ -89,6 +89,13 @@ class TestParseGrid:
         with pytest.raises(IllegalCharacterError):
             parse_grid("12345678" + "1" * 8, size4)
 
+    # the figure grid starts with 7: put superscript two (str.isdigit accepts
+    # it) or the Arabic-Indic seven in its place
+    @pytest.mark.parametrize("first", ["\u00b2", "\u0667"])
+    def test_only_ascii_digits(self, size9, first):
+        with pytest.raises(IllegalCharacterError):
+            parse_grid(first + FIG_GRID_TEXT[1:], size9)
+
     def test_row_violation(self, size4):
         # the 16-char example floated for this case is actually a valid grid
         assert parse_grid("1234341221434321", size4) is not None
@@ -197,6 +204,14 @@ class TestBigBoards:
         assert "," in text
         assert parse_grid(text, size) == grid
         assert recount_units(size, grid.entries)
+
+    @pytest.mark.parametrize("token", ["+1", "1_0", "\u0661"])
+    def test_16x16_rejects_non_ascii_digit_tokens(self, token):
+        size = GridSize.of_side(16)
+        tokens = serialize(Grid(size, self.shift_grid(16))).split(",")
+        tokens[0] = token
+        with pytest.raises(IllegalCharacterError):
+            parse_puzzle(",".join(tokens), size)
 
     def test_16x16_puzzle_round_trip(self):
         size = GridSize.of_side(16)

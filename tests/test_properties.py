@@ -1,6 +1,6 @@
 """Property tests: 4x4 optima under relabelling, Sudoku as one fewest-clue
-instance of the generic loop, and the deviation search against its
-rescanning reference."""
+instance of the generic loop, the deviation search against its rescanning
+reference, and minimal unavoidable sets under the board's symmetries."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,12 +9,14 @@ from minclue import (
     CluePattern,
     DeviationConstraint,
     FcpInstance,
+    GenerationLimits,
     Grid,
     MscpConfig,
     SearchStats,
     fcp_solve,
     find_alternate,
     find_deviating_grid,
+    generate_all,
     solve_mscp,
 )
 from reference_deviation import reference_deviating_grid
@@ -81,3 +83,33 @@ def test_deviation_search_matches_rescanning_reference(grid4_objects, idx, m, no
     got = find_deviating_grid(constraint, stats=stats)
     assert got == reference_deviating_grid(constraint, ref_stats)
     assert stats.nodes == ref_stats.nodes
+
+
+@st.composite
+def line_map(draw):
+    """A permutation of the four rows (or columns) of a 4x4 board that
+    permutes the two bands (stacks) and the two lines within each."""
+    bands = draw(st.permutations([0, 1]))
+    within = [draw(st.permutations([0, 1])) for _ in range(2)]
+    return [2 * bands[i // 2] + within[i // 2][i % 2] for i in range(4)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(grid_index, line_map(), line_map(), st.booleans())
+def test_minimal_sets_follow_the_board_symmetries(grid4_objects, idx, rows, cols, transpose):
+    def image(i):
+        r, c = rows[i // 4], cols[i % 4]
+        return c * 4 + r if transpose else r * 4 + c
+
+    grid = grid4_objects[idx]
+    entries = [0] * 16
+    for i, v in enumerate(grid.entries):
+        entries[image(i)] = v
+    mapped = Grid(grid.size, entries)
+
+    def family(g):
+        coll = generate_all(g, GenerationLimits())
+        assert coll.complete
+        return {frozenset((c.row - 1) * 4 + c.col - 1 for c in s) for s in coll.sets}
+
+    assert family(mapped) == {frozenset(map(image, s)) for s in family(grid)}

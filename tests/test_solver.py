@@ -130,7 +130,7 @@ class TestSuppliedSeeds:
         grid = grid4_objects[0]
         coll = UnavoidableCollection(grid_fingerprint(grid), 4)
         for k in range(6):
-            coll.add(SetRecord(UnavoidableSet([Cell(k // 4 + 1, k % 4 + 1)]), k, 1, 0.0))
+            coll.add(SetRecord(UnavoidableSet([Cell(k // 4 + 1, k % 4 + 1)]), 0.0))
         path = tmp_path / "single.unav"
         save_collection(coll, path)
         loaded = load_collection(path, grid)
@@ -274,6 +274,15 @@ class TestFcp:
         result = fcp_solve(latin_square_fcp_instance(squares[idx]))
         assert result.status is MscpStatus.OPTIMAL
         assert result.upper_bound == want
+
+    # the back-circulant square B_n has smallest critical set floor(n^2 / 4)
+    # (Curran & van Rees, 1978); B_5 takes 113,863 nodes and B_6 13,897
+    @pytest.mark.parametrize("n, want", [(5, 6), (6, 9)])
+    def test_back_circulant_critical_set(self, n, want):
+        square = [(r + c) % n + 1 for r in range(n) for c in range(n)]
+        result = fcp_solve(latin_square_fcp_instance(square), SearchBudget(max_nodes=250_000))
+        assert result.status is MscpStatus.OPTIMAL
+        assert result.lower_bound == result.upper_bound == len(result.best_clue) == want
 
     def test_latin_rejects_non_latin_target(self):
         with pytest.raises(ValueError):

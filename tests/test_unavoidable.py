@@ -94,7 +94,8 @@ class TestMinimalize:
 
 
 def emitted(collection):
-    return [(rec.cells, rec.discovered_size) for rec in collection.records]
+    """(set, m) pairs: a set found at distance m has exactly m cells."""
+    return [(rec.cells, rec.cells.size) for rec in collection.records]
 
 
 def restart_reference(grid, max_sets):
@@ -161,16 +162,13 @@ class TestGenerateAll:
             for earlier in range(later):
                 assert not fams[earlier] <= fams[later]
 
-    def test_progress_sink_rows(self, grid4_objects):
-        rows = []
-        coll = generate_all(
-            grid4_objects[3],
-            GenerationLimits(max_sets=7),
-            progress=lambda idx, m, sec: rows.append((idx, m, sec)),
-        )
-        assert len(rows) == len(coll) == 7
-        assert [r[0] for r in rows] == list(range(7))
-        assert all(rows[i][2] <= rows[i + 1][2] for i in range(len(rows) - 1))
+    def test_record_seconds_are_discovery_times(self, grid4_objects):
+        stats = SearchStats()
+        coll = generate_all(grid4_objects[3], GenerationLimits(max_sets=7), stats=stats)
+        seconds = [rec.seconds for rec in coll.records]
+        assert len(seconds) == 7
+        assert 0.0 <= seconds[0] and seconds == sorted(seconds)
+        assert seconds[-1] <= stats.elapsed
         assert not coll.complete  # cut off by max_sets
 
     def test_max_sets_validation(self):
@@ -263,6 +261,38 @@ class TestCollectionIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorruptCollectionError):
             load_collection(path, grid)
+
+    @staticmethod
+    def inline_file(grid, tmp_path, comments):
+        lines = [f"MSCPUNAV v1 n=4 fingerprint={grid_fingerprint(grid)} complete=0"]
+        lines += [
+            f"m=4: 1,1 1,2 2,1 2,2 # {comments[0]}",
+            f"m=4: 3,3 3,4 4,3 4,4 # {comments[1]}",
+        ]
+        path = tmp_path / "inline.unav"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_save_reproduces_the_file(self, grid4_objects, tmp_path):
+        # index and found_at_m are written from the position and the size
+        comments = (
+            "index=0 found_at_m=4 seconds=0.25",
+            "index=1 found_at_m=4 seconds=1.0000000000000002",
+        )
+        path = self.inline_file(grid4_objects[0], tmp_path, comments)
+        coll = load_collection(path, grid4_objects[0])
+        assert [rec.seconds for rec in coll.records] == [0.25, 1.0000000000000002]
+        out = tmp_path / "again.unav"
+        save_collection(coll, out)
+        assert out.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "bad", ["index=x found_at_m=4", "index=1 found_at_m=4.5", "index=1 seconds=abc"]
+    )
+    def test_malformed_metadata(self, grid4_objects, tmp_path, bad):
+        path = self.inline_file(grid4_objects[0], tmp_path, ("index=0", bad))
+        with pytest.raises(CorruptCollectionError, match="line 3: bad metadata"):
+            load_collection(path, grid4_objects[0])
 
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "junk.unav"
