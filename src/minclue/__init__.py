@@ -61,11 +61,9 @@ from .unavoidable import (
     CorruptCollectionError,
     FingerprintMismatchError,
     GenerationLimits,
-    IdenticalGridsError,
     NotUnavoidableError,
     UnavoidableCollection,
     UnavoidableSet,
-    diff_cells,
     generate_all,
     grid_fingerprint,
     is_unavoidable,

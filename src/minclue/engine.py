@@ -17,7 +17,9 @@ Both searches read the unit table `grid._Geometry`. One list `used` holds a
 digit mask per slot (row r, column n + c, box 2n + b); a cell's candidates
 are the digits missing from its three slots, and propagation scans the
 slots in `units`. Latin squares use the box-free table, whose box slots
-mirror the rows and are not scanned.
+mirror the rows and are not scanned. Both searches keep those candidates
+in a table, one digit mask per cell, that a placement updates at the
+placed cell's peers only, so no node recomputes them from the slot masks.
 """
 from __future__ import annotations
 
@@ -101,21 +103,30 @@ class _Ticker:
 
 
 class _State:
-    """Slot bitmasks plus the current assignment, for one search."""
+    """Slot bitmasks, the candidate table and the current assignment, for
+    one search."""
 
-    __slots__ = ("geo", "values", "used", "empties")
+    __slots__ = ("geo", "values", "used", "cands", "empties")
 
     def __init__(self, geo: _Geometry, entries: Sequence[int]):
         self.geo = geo
         self.values = list(entries)
-        self.used = [0] * len(geo.members)
-        self.empties = []
+        self.used = used = [0] * len(geo.members)
+        self.empties = empties = []
+        slots = geo.slots
         for i, v in enumerate(entries):
             if v:
-                for slot in geo.slots[i]:
-                    self.used[slot] |= 1 << (v - 1)
+                bit = 1 << (v - 1)
+                r, c, b = slots[i]
+                used[r] |= bit
+                used[c] |= bit
+                used[b] |= bit
             else:
-                self.empties.append(i)
+                empties.append(i)
+        self.cands = cands = [0] * geo.cells
+        for i in empties:
+            r, c, b = slots[i]
+            cands[i] = ~(used[r] | used[c] | used[b]) & geo.full
 
 
 def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
@@ -125,111 +136,99 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
     unit) are applied before branching on the most-constrained cell. Yields
     the entry tuple of each completion in search order; a caller that has
     what it needs stops consuming, so the search does no further work.
+
+    Candidate table: `state.cands[i]` is the digit mask open cell i can
+    still take, 0 once it is assigned. Every placement, forced or branch,
+    clears its digit from the cell's open peers, so the naked-single pass,
+    the unit scan and the branch-cell choice read one table entry per cell.
+    `used` still gives each unit the digits it needs. A frame that
+    branches copies `values`, `used` and the table first and restores all
+    three from the copies after each child, so no frame undoes its own
+    forced placements: the frame that branched into it does.
     """
     geo = state.geo
-    values = state.values
-    used = state.used
-    slots, members, full = geo.slots, geo.members, geo.full
+    values, used, cands = state.values, state.used, state.cands
+    empties = state.empties
+    slots, members, peers, units = geo.slots, geo.members, geo.peers, geo.units
+    full = geo.full
     tick = ticker.tick
-    trail: list[tuple[int, int]] = []
-
-    def undo() -> None:
-        for i, bit in trail:
-            values[i] = 0
-            for slot in slots[i]:
-                used[slot] ^= bit
 
     def place(i: int, bit: int) -> None:
         tick()
         values[i] = bit.bit_length()
         for slot in slots[i]:
             used[slot] |= bit
-        trail.append((i, bit))
+        cands[i] = 0
+        for p in peers[i]:
+            if cands[p] & bit:
+                cands[p] ^= bit
 
-    def scan_unit(cells_u: list, unit_used: int) -> int:
-        """-1 contradiction, 0 no change, 1 placed a lone-home digit."""
-        needed = full & ~unit_used
-        if not needed:
-            return 0
-        acc1 = 0
-        acc2 = 0
-        for i in cells_u:
-            if not values[i]:
-                r, c, b = slots[i]
-                cand = ~(used[r] | used[c] | used[b]) & full
-                acc2 |= acc1 & cand
-                acc1 |= cand
-        if needed & ~acc1:
-            return -1
-        singles = needed & acc1 & ~acc2
-        changed = 0
-        while singles:
-            bit = singles & -singles
-            singles ^= bit
-            for i in cells_u:
-                if not values[i]:
-                    r, c, b = slots[i]
-                    if ~(used[r] | used[c] | used[b]) & bit:
-                        place(i, bit)
-                        changed = 1
+    def propagate() -> bool:
+        """Apply forced placements until none is left; False on a
+        contradiction."""
+        while True:
+            assigned = False
+            for i in empties:
+                cand = cands[i]
+                if not cand:
+                    if values[i]:
+                        continue
+                    return False
+                if not cand & (cand - 1):
+                    place(i, cand)
+                    assigned = True
+            for slot in units:
+                needed = full & ~used[slot]
+                if not needed:
+                    continue
+                cells_u = members[slot]
+                acc1 = acc2 = 0
+                for i in cells_u:
+                    cand = cands[i]
+                    acc2 |= acc1 & cand
+                    acc1 |= cand
+                if needed & ~acc1:
+                    return False
+                singles = needed & acc1 & ~acc2
+                while singles:
+                    bit = singles & -singles
+                    singles ^= bit
+                    for i in cells_u:
+                        if cands[i] & bit:
+                            place(i, bit)
+                            assigned = True
+                            break
+                    else:
+                        return False
+            if not assigned:
+                return True
+
+    def search() -> Iterator[tuple[int, ...]]:
+        if not propagate():
+            return
+        best = -1
+        best_count = geo.n + 1
+        for i in empties:
+            cand = cands[i]
+            if cand:
+                count = cand.bit_count()
+                if count < best_count:
+                    best, best_count = i, count
+                    if count == 2:
                         break
-            else:
-                return -1
-        return changed
+        if best == -1:
+            yield tuple(values)
+            return
+        saved = values[:], used[:], cands[:]
+        cand = cands[best]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            place(best, bit)
+            yield from search()
+            values[:], used[:], cands[:] = saved
 
-    while True:
-        assigned = False
-        for i in state.empties:
-            if values[i]:
-                continue
-            r, c, b = slots[i]
-            cand = ~(used[r] | used[c] | used[b]) & full
-            if cand == 0:
-                undo()
-                return
-            if not cand & (cand - 1):
-                place(i, cand)
-                assigned = True
-        for slot in geo.units:
-            got = scan_unit(members[slot], used[slot])
-            if got < 0:
-                undo()
-                return
-            if got:
-                assigned = True
-        if not assigned:
-            break
-
-    best = -1
-    best_cand = 0
-    best_count = geo.n + 1
-    for i in state.empties:
-        if values[i]:
-            continue
-        r, c, b = slots[i]
-        cand = ~(used[r] | used[c] | used[b]) & full
-        count = cand.bit_count()
-        if count < best_count:
-            best, best_cand, best_count = i, cand, count
-            if count == 2:
-                break
-    if best == -1:
-        yield tuple(values)
-        undo()
-        return
-    cand = best_cand
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        tick()
-        values[best] = bit.bit_length()
-        for slot in slots[best]:
-            used[slot] |= bit
-        yield from _completions(state, ticker)
-        values[best] = 0
-        for slot in slots[best]:
-            used[slot] ^= bit
-    undo()
+    return search()
 
 
 def _solutions(

@@ -33,22 +33,16 @@ __all__ = [
     "SetRecord",
     "UnavoidableCollection",
     "GenerationLimits",
-    "IdenticalGridsError",
     "NotUnavoidableError",
     "FingerprintMismatchError",
     "CorruptCollectionError",
     "grid_fingerprint",
-    "diff_cells",
     "is_unavoidable",
     "minimalize",
     "generate_all",
     "save_collection",
     "load_collection",
 ]
-
-
-class IdenticalGridsError(ValueError):
-    pass
 
 
 class NotUnavoidableError(ValueError):
@@ -182,21 +176,6 @@ class GenerationLimits:
     def __post_init__(self) -> None:
         if self.max_sets < 1:
             raise ValueError("max_sets must be at least 1")
-
-
-def diff_cells(g: Grid, g2: Grid) -> UnavoidableSet:
-    """Cells where the two grids differ (unavoidable for either grid)."""
-    if g.size != g2.size:
-        raise GridError("grids differ in size")
-    n = g.size.n
-    cells = [
-        Cell(i // n + 1, i % n + 1)
-        for i, (a, b) in enumerate(zip(g.entries, g2.entries))
-        if a != b
-    ]
-    if not cells:
-        raise IdenticalGridsError("grids are identical")
-    return UnavoidableSet(cells)
 
 
 def is_unavoidable(

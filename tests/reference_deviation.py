@@ -11,14 +11,25 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from minclue import (
+    Cell,
     DeviationConstraint,
     GenerationLimits,
     Grid,
     SearchStats,
-    diff_cells,
+    UnavoidableSet,
 )
 from minclue.engine import _State, _Ticker
 from minclue.grid import _Geometry
+
+
+def diff_cells(g: Grid, g2: Grid) -> UnavoidableSet:
+    """The cells where two different grids of one size differ."""
+    n = g.size.n
+    return UnavoidableSet(
+        Cell(i // n + 1, i % n + 1)
+        for i, (a, b) in enumerate(zip(g.entries, g2.entries))
+        if a != b
+    )
 
 
 class RescanningSearch:

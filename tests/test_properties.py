@@ -1,6 +1,11 @@
 """Property tests: 4x4 optima under relabelling, Sudoku as one fewest-clue
-instance of the generic loop, the deviation search against its rescanning
-reference, and minimal unavoidable sets under the board's symmetries."""
+instance of the generic loop, the completion and deviation searches against
+their rescanning references, and minimal unavoidable sets under the board's
+symmetries."""
+import random
+from contextlib import closing
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +17,8 @@ from minclue import (
     GenerationLimits,
     Grid,
     MscpConfig,
+    SearchBudget,
+    SearchInterrupted,
     SearchStats,
     fcp_solve,
     find_alternate,
@@ -19,6 +26,9 @@ from minclue import (
     generate_all,
     solve_mscp,
 )
+from minclue.engine import _solutions
+from minclue.grid import _Geometry
+from reference_completions import reference_solutions
 from reference_deviation import reference_deviating_grid
 
 BARE = MscpConfig(initial_cuts=0)
@@ -71,6 +81,60 @@ def test_sudoku_is_one_fewest_clue_instance(grid4_objects, idx):
     ]
 
 
+def first_completions(solutions, geo, entries, max_nodes, limit):
+    """The first `limit` completions of one search, the nodes it counted,
+    and the node at which its budget stopped it (None if it did not)."""
+    stats = SearchStats()
+    out = []
+    completions = solutions(geo, entries, SearchBudget(max_nodes=max_nodes), stats)
+    try:
+        with closing(completions):
+            out.extend(islice(completions, limit))
+    except SearchInterrupted as exc:
+        return out, stats.nodes, exc.nodes
+    return out, stats.nodes, None
+
+
+def assert_matches_reference(geo, entries, max_nodes, limit=30):
+    got = first_completions(_solutions, geo, entries, max_nodes, limit)
+    assert got == first_completions(reference_solutions, geo, entries, max_nodes, limit)
+
+
+def masked(entries, seed, density):
+    rng = random.Random(seed)
+    return [v if rng.random() < density else 0 for v in entries]
+
+
+mask_seed = st.integers(min_value=0, max_value=2**32 - 1)
+node_budget = st.one_of(st.none(), st.integers(min_value=0, max_value=400))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grid_index, mask_seed, st.floats(0.0, 1.0), node_budget)
+def test_completion_search_matches_reference_on_4x4(grid4_objects, idx, seed, density, max_nodes):
+    entries = masked(grid4_objects[idx].entries, seed, density)
+    assert_matches_reference(_Geometry.get(4, 2), entries, max_nodes, limit=300)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mask_seed, st.floats(0.15, 0.6), node_budget)
+def test_completion_search_matches_reference_on_figure_grid(figure_grid, seed, density, max_nodes):
+    entries = masked(figure_grid.entries, seed, density)
+    assert_matches_reference(_Geometry.get(9, 3), entries, max_nodes)
+
+
+latin5_line = st.permutations(range(5))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(latin5_line, latin5_line, latin5_line, mask_seed, st.floats(0.0, 0.7), node_budget)
+def test_completion_search_matches_reference_on_latin5(rows, cols, symbols, seed, density, max_nodes):
+    # a row, column and symbol permutation of the back-circulant square B_5
+    square = [symbols[(rows[r] + cols[c]) % 5] + 1 for r in range(5) for c in range(5)]
+    entries = masked(square, seed, density)
+    assert_matches_reference(_Geometry.get(5, 0), entries, max_nodes)
+
+
 cell4 = st.builds(Cell, st.integers(1, 4), st.integers(1, 4))
 nogood_family = st.lists(st.frozensets(cell4, min_size=1, max_size=6), max_size=5)
 
@@ -86,30 +150,43 @@ def test_deviation_search_matches_rescanning_reference(grid4_objects, idx, m, no
 
 
 @st.composite
-def line_map(draw):
-    """A permutation of the four rows (or columns) of a 4x4 board that
-    permutes the two bands (stacks) and the two lines within each."""
-    bands = draw(st.permutations([0, 1]))
-    within = [draw(st.permutations([0, 1])) for _ in range(2)]
-    return [2 * bands[i // 2] + within[i // 2][i % 2] for i in range(4)]
+def line_map(draw, s=2):
+    """A permutation of the s*s rows (or columns) of a board with s-line
+    bands (stacks) that permutes the bands and the lines within each."""
+    bands = draw(st.permutations(range(s)))
+    within = [draw(st.permutations(range(s))) for _ in range(s)]
+    return [s * bands[i // s] + within[i // s][i % s] for i in range(s * s)]
+
+
+def index_family(coll):
+    assert coll.complete
+    n = coll.n
+    return {frozenset((c.row - 1) * n + c.col - 1 for c in s) for s in coll.sets}
+
+
+def assert_family_follows(grid, limits, rows, cols, transpose):
+    n = grid.size.n
+
+    def image(i):
+        r, c = rows[i // n], cols[i % n]
+        return c * n + r if transpose else r * n + c
+
+    entries = [0] * (n * n)
+    for i, v in enumerate(grid.entries):
+        entries[image(i)] = v
+    mapped = Grid(grid.size, entries)
+    want = {frozenset(map(image, s)) for s in index_family(generate_all(grid, limits))}
+    assert index_family(generate_all(mapped, limits)) == want
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(grid_index, line_map(), line_map(), st.booleans())
 def test_minimal_sets_follow_the_board_symmetries(grid4_objects, idx, rows, cols, transpose):
-    def image(i):
-        r, c = rows[i // 4], cols[i % 4]
-        return c * 4 + r if transpose else r * 4 + c
+    assert_family_follows(grid4_objects[idx], GenerationLimits(), rows, cols, transpose)
 
-    grid = grid4_objects[idx]
-    entries = [0] * 16
-    for i, v in enumerate(grid.entries):
-        entries[image(i)] = v
-    mapped = Grid(grid.size, entries)
 
-    def family(g):
-        coll = generate_all(g, GenerationLimits())
-        assert coll.complete
-        return {frozenset((c.row - 1) * 4 + c.col - 1 for c in s) for s in coll.sets}
-
-    assert family(mapped) == {frozenset(map(image, s)) for s in family(grid)}
+# the figure grid's 22 minimal sets of size <= 6, complete in about 0.4 s
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(line_map(3), line_map(3), st.booleans())
+def test_minimal_sets_follow_the_board_symmetries_9x9(figure_grid, rows, cols, transpose):
+    assert_family_follows(figure_grid, GenerationLimits(max_size=6), rows, cols, transpose)

