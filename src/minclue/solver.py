@@ -89,6 +89,12 @@ class MscpConfig:
     solve_budget: SearchBudget = field(default_factory=SearchBudget)
     seed_collection: Optional[UnavoidableCollection] = None
 
+    def __post_init__(self) -> None:
+        if self.initial_cuts < 0:
+            raise ValueError("initial_cuts must be at least 0")
+        if self.max_cut_size is not None and self.max_cut_size < 1:
+            raise ValueError("max_cut_size must be at least 1")
+
 
 @dataclass(frozen=True)
 class TraceEntry:

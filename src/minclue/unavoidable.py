@@ -176,6 +176,8 @@ class GenerationLimits:
     def __post_init__(self) -> None:
         if self.max_sets < 1:
             raise ValueError("max_sets must be at least 1")
+        if self.max_size is not None and self.max_size < 1:
+            raise ValueError("max_size must be at least 1")
 
 
 def is_unavoidable(

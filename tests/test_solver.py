@@ -43,6 +43,13 @@ class TestVerifyValidity:
         )
 
 
+class TestMscpConfig:
+    def test_bad_limits_rejected(self):
+        for bad in ({"initial_cuts": -5}, {"max_cut_size": 0}):
+            with pytest.raises(ValueError):
+                MscpConfig(**bad)
+
+
 def oracle_optimum(grids, idx):
     diffs = oracle.diff_masks(list(grids), idx)
     value, _ = oracle.mscp_optimum(diffs, 16)

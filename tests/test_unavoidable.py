@@ -166,8 +166,9 @@ class TestGenerateAll:
         assert not coll.complete  # cut off by max_sets
 
     def test_max_sets_validation(self):
-        with pytest.raises(ValueError):
-            GenerationLimits(max_sets=0)
+        for bad in ({"max_sets": 0}, {"max_size": 0}, {"max_size": -3}):
+            with pytest.raises(ValueError):
+                GenerationLimits(**bad)
 
     def test_time_limit_marks_incomplete(self, figure_grid):
         coll = generate_all(
