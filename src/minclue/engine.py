@@ -27,7 +27,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .grid import Cell, CluePattern, Grid, GridError, Puzzle, _Geometry, _masked_entries
 
@@ -51,6 +51,12 @@ class SearchBudget:
     max_nodes: Optional[int] = None
     max_time: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        nodes, seconds = self.max_nodes, self.max_time
+        # `>= 0` is also False for NaN, which would otherwise mean no limit
+        if not ((nodes is None or nodes >= 0) and (seconds is None or seconds >= 0)):
+            raise ValueError("max_nodes and max_time must be at least 0")
+
 
 @dataclass
 class SearchStats:
@@ -69,11 +75,16 @@ class SearchInterrupted(Exception):
         self.nodes = nodes
 
 
+T = TypeVar("T")
+
+
 class _Ticker:
     """Node counter with budget enforcement; time checked every 1024 nodes.
 
     The clock starts when the ticker is made; `record` copies the nodes and
-    the seconds since then into a SearchStats.
+    the seconds since then into a SearchStats. A search ticks its own
+    ticker; a solve keeps one ticker for the whole run and hands each of
+    its searches a share of what is left through `spend`.
     """
 
     __slots__ = ("nodes", "max_nodes", "started", "deadline")
@@ -100,6 +111,25 @@ class _Ticker:
         if self.deadline is not None and (self.nodes & 1023) == 0:
             if perf_counter() > self.deadline:
                 raise SearchInterrupted("time", self.nodes)
+
+    def spend(self, search: Callable[[SearchBudget, SearchStats], T], parts: int = 1) -> T:
+        """`search(share, stats)` on one of `parts` equal shares of what is
+        left, charged with the nodes it reports; raises SearchInterrupted,
+        without searching, once the budget is used up."""
+        left = None if self.deadline is None else self.deadline - perf_counter()
+        if left is not None and left < 0:
+            raise SearchInterrupted("time", self.nodes)
+        if self.max_nodes is not None and self.nodes >= self.max_nodes:
+            raise SearchInterrupted("nodes", self.nodes)
+        share = SearchBudget(
+            None if self.max_nodes is None else (self.max_nodes - self.nodes) // parts,
+            None if left is None else left / parts,
+        )
+        stats = SearchStats()
+        try:
+            return search(share, stats)
+        finally:
+            self.nodes += stats.nodes
 
 
 class _State:

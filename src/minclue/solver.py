@@ -13,7 +13,8 @@ cut and the loop repeats; every oracle answer is checked. Callers:
 their unit tables, or `fcp_solve` on any user-built `FcpInstance`. Every
 oracle has the one signature `(revealed, budget, stats) -> certificate or
 None`, so its search nodes count toward a solve's node budget whoever the
-caller is.
+caller is. A solve keeps one `engine._Ticker`: its clock times the trace,
+and its `spend` shares what is left of the budget among the searches.
 """
 from __future__ import annotations
 
@@ -24,12 +25,13 @@ from enum import Enum
 from functools import partial
 from math import isqrt
 from time import perf_counter
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
 
 from .engine import (
     SearchBudget,
     SearchInterrupted,
     SearchStats,
+    _Ticker,
     _first,
     _solutions,
     count_solutions,
@@ -65,8 +67,6 @@ __all__ = [
 
 log = logging.getLogger("minclue.solver")
 
-T = TypeVar("T")
-
 
 class MscpStatus(Enum):
     OPTIMAL = "optimal"
@@ -80,9 +80,9 @@ class MscpInternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class MscpConfig:
-    """Options of one solve_mscp run: `initial_cuts` seed cuts, taken from
-    `seed_collection` or else from the generator with at most `max_cut_size`
-    cells each (no cap when None); `solve_budget` covers the whole run."""
+    """Options of one solve_mscp run: the first `initial_cuts` seed cuts of
+    at most `max_cut_size` cells (no cap when None) from `seed_collection`,
+    or else from the generator; `solve_budget` covers the whole run."""
 
     initial_cuts: int = 1000
     max_cut_size: Optional[int] = None
@@ -128,40 +128,6 @@ def verify_validity(
     return count_solutions(apply_pattern(g, pattern), 2, budget) == 1
 
 
-class _LoopBudget:
-    """Wall clock and cumulative node budget shared by the phases of a solve."""
-
-    def __init__(self, budget: SearchBudget):
-        self.deadline = (
-            perf_counter() + budget.max_time if budget.max_time is not None else None
-        )
-        self.max_nodes = budget.max_nodes
-        self.used_nodes = 0
-
-    def spend(self, search: Callable[[SearchBudget, SearchStats], T], parts: int = 1) -> T:
-        """`search(share, stats)` on one of `parts` equal shares of what is
-        left, charged with the nodes it reports; raises SearchInterrupted,
-        without searching, once the budget is used up."""
-        if self.deadline is not None and perf_counter() > self.deadline:
-            raise SearchInterrupted("time", self.used_nodes)
-        if self.max_nodes is not None and self.used_nodes >= self.max_nodes:
-            raise SearchInterrupted("nodes", self.used_nodes)
-        remaining_time = (
-            (self.deadline - perf_counter()) / parts if self.deadline is not None else None
-        )
-        remaining_nodes = (
-            (self.max_nodes - self.used_nodes) // parts
-            if self.max_nodes is not None
-            else None
-        )
-        share = SearchBudget(max_nodes=remaining_nodes, max_time=remaining_time)
-        stats = SearchStats()
-        try:
-            return search(share, stats)
-        finally:
-            self.used_nodes += stats.nodes
-
-
 @dataclass
 class FcpResult:
     """Outcome of the hitting-set loop; `certificate` lists every cut used."""
@@ -203,7 +169,7 @@ _Alternate = Callable[[frozenset, SearchBudget, SearchStats], Optional[Sequence]
 
 
 def _alternate_diff(
-    target: tuple, alternate: _Alternate, budget: _LoopBudget, revealed: frozenset
+    target: tuple, alternate: _Alternate, budget: _Ticker, revealed: frozenset
 ) -> Optional[frozenset]:
     """Indices where `alternate(revealed, share, stats)` differs from the
     target, or None when it finds no other certificate that agrees with the
@@ -237,13 +203,12 @@ def _ihs_loop(
     target: tuple,
     alternate: _Alternate,
     seeds: list[frozenset],
-    budget: _LoopBudget,
-    started: float,
+    budget: _Ticker,
 ) -> FcpResult:
     """Implicit hitting-set loop over the indices 0..len(target)-1.
 
     `seeds` are index sets known to be unavoidable. Trace times count from
-    `started`, the caller's clock; iteration i is always `trace[i - 1]`,
+    the start of `budget`; iteration i is always `trace[i - 1]`,
     and a cut the loop adds in iteration i is `certificate[len(seeds) + i - 1]`.
     """
     universe = frozenset(range(len(target)))
@@ -259,7 +224,7 @@ def _ihs_loop(
 
     def note(it: int) -> None:
         trace.append(
-            TraceEntry(it, lower, upper, len(cuts), perf_counter() - started)
+            TraceEntry(it, lower, upper, len(cuts), perf_counter() - budget.started)
         )
 
     def repair(cells: set, diff: Optional[frozenset]) -> frozenset:
@@ -284,7 +249,7 @@ def _ihs_loop(
             )
             if not solution.proven_optimal:
                 lower = max(lower, solution.lower_bound)
-                raise SearchInterrupted("hitting set", budget.used_nodes)
+                raise SearchInterrupted("hitting set", budget.nodes)
             status = MscpStatus.BOUNDS_ONLY
             if solution.value < lower:
                 raise MscpInternalError(
@@ -325,7 +290,7 @@ def _ihs_loop(
     note(iteration)
 
     return FcpResult(
-        status, incumbent, upper, lower, tuple(cuts), iteration, trace, budget.used_nodes
+        status, incumbent, upper, lower, tuple(cuts), iteration, trace, budget.nodes
     )
 
 
@@ -343,8 +308,7 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     every cut used, each a minimal unavoidable set of g.
     """
     cfg = config or MscpConfig()
-    started = perf_counter()
-    budget = _LoopBudget(cfg.solve_budget)
+    budget = _Ticker(cfg.solve_budget)
     cells = g.size.all_cells()
     index_of = {cell: i for i, cell in enumerate(cells)}
     alternate = _table_alternate(_Geometry.get(g.size.n, g.size.s), g.entries)
@@ -364,15 +328,17 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
                 raise FingerprintMismatchError(
                     "seed collection was generated from a different grid"
                 )
-            for rec in cfg.seed_collection.records[: cfg.initial_cuts]:
+            cap = cfg.max_cut_size or len(cells)
+            fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
+            for rec in fits[: cfg.initial_cuts]:
                 outside = frozenset(range(len(cells))) - {index_of[c] for c in rec.cells}
                 if _alternate_diff(g.entries, alternate, budget, outside) is None:
                     raise NotUnavoidableError(f"seed set {rec.cells} is not unavoidable")
                 certificate.add(rec)
-    log.debug("seeded %d cuts in %.2fs", len(certificate), perf_counter() - started)
+    log.debug("seeded %d cuts in %.2fs", len(certificate), perf_counter() - budget.started)
     seeds = [frozenset(index_of[c] for c in rec.cells) for rec in certificate.records]
 
-    outcome = _ihs_loop(g.entries, alternate, seeds, budget, started)
+    outcome = _ihs_loop(g.entries, alternate, seeds, budget)
 
     # the loop adds its k-th cut in iteration k + 1, noted in trace[k]
     for cut, entry in zip(outcome.certificate[len(seeds):], outcome.trace):
@@ -415,14 +381,13 @@ def fcp_solve(instance: FcpInstance, budget: Optional[SearchBudget] = None) -> F
     check included, draws from `budget` like the hitting-set searches; a
     budget that ends during that check raises SearchInterrupted.
     """
-    started = perf_counter()
     target = tuple(instance.target)
     finder = instance.alternate_finder
-    loop_budget = _LoopBudget(budget or SearchBudget())
+    loop_budget = _Ticker(budget)
     universe = frozenset(range(len(target)))
     if loop_budget.spend(lambda share, stats: finder(universe, share, stats)) is not None:
         raise ValueError("target certificate is not uniquely pinned by a full reveal")
-    return _ihs_loop(target, finder, [], loop_budget, started)
+    return _ihs_loop(target, finder, [], loop_budget)
 
 
 def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:

@@ -1,5 +1,7 @@
 import random
 from itertools import islice
+from math import inf, nan
+from time import sleep
 
 import pytest
 
@@ -23,6 +25,7 @@ from minclue import (
     iter_solutions,
     solve_puzzle,
 )
+from minclue.engine import _Ticker
 from test_grid import recount_units
 
 
@@ -219,6 +222,60 @@ class TestBudgets:
     def test_interrupt_never_wrong(self, figure_puzzle):
         # generous budget: same answer as the unbudgeted run
         assert count_solutions(figure_puzzle, 2, SearchBudget(max_nodes=10**7)) == 1
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"max_nodes": -5}, {"max_time": -1.0}, {"max_time": nan}, {"max_nodes": nan}],
+    )
+    def test_limits_that_make_no_sense_rejected(self, limits):
+        with pytest.raises(ValueError):
+            SearchBudget(**limits)
+
+    def test_zero_and_unbounded_limits_accepted(self):
+        assert SearchBudget(max_nodes=0, max_time=inf).max_time == inf
+
+
+class TestTickerSpend:
+    """A solve's one ticker hands each of its searches a share of what is left."""
+
+    @staticmethod
+    def charging(nodes):
+        def search(share, stats):
+            stats.nodes = nodes
+            return share
+
+        return search
+
+    def test_share_is_a_part_of_what_is_left(self):
+        ticker = _Ticker(SearchBudget(max_nodes=100, max_time=60.0))
+        assert ticker.spend(self.charging(30)).max_nodes == 100
+        share = ticker.spend(self.charging(30), parts=2)
+        assert share.max_nodes == 35
+        assert 0 < share.max_time <= 30.0
+        assert ticker.nodes == 60
+
+    def test_interrupted_search_is_charged(self):
+        ticker = _Ticker(SearchBudget(max_nodes=100))
+
+        def search(share, stats):
+            stats.nodes = share.max_nodes + 1
+            raise SearchInterrupted("nodes", stats.nodes)
+
+        with pytest.raises(SearchInterrupted):
+            ticker.spend(search)
+        assert ticker.nodes == 101
+
+    @pytest.mark.parametrize(
+        "budget, reason",
+        [(SearchBudget(max_nodes=10), "nodes"), (SearchBudget(max_time=0.0), "time")],
+    )
+    def test_spent_budget_runs_no_search(self, budget, reason):
+        ticker = _Ticker(budget)
+        ticker.nodes = 10
+        sleep(0.001)  # past the zero-second deadline
+        with pytest.raises(SearchInterrupted) as err:
+            ticker.spend(lambda share, stats: pytest.fail("searched a spent budget"))
+        assert err.value.reason == reason
 
 
 class TestSixteen:

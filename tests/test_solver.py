@@ -26,6 +26,7 @@ from minclue import (
     solve_mscp,
     verify_validity,
 )
+from minclue.solver import MscpInternalError
 from minclue.unavoidable import SetRecord
 
 
@@ -119,6 +120,25 @@ class TestSolveMscp4x4:
         assert [r.cells for r in result.certificate.records[:10]] == [
             r.cells for r in coll.records
         ]
+
+    def test_seed_collection_obeys_max_cut_size(self, grid4_objects):
+        # the generator's rule: the first initial_cuts sets that fit the cap
+        grid = grid4_objects[0]
+        coll = generate_all(grid, GenerationLimits())
+        fitting = UnavoidableCollection(coll.fingerprint, 4)
+        for rec in coll.records:
+            if len(rec.cells) <= 4:
+                fitting.add(rec)
+        assert 0 < len(fitting) < len(coll)
+
+        def run(cfg):
+            result = solve_mscp(grid, cfg)
+            cuts = [r.cells for r in result.certificate.records]
+            return result.status, result.upper_bound, result.nodes, cuts
+
+        capped = run(MscpConfig(seed_collection=coll, max_cut_size=4))
+        assert capped == run(MscpConfig(seed_collection=fitting))
+        assert capped[:2] == (MscpStatus.OPTIMAL, 4)
 
     def test_seed_collection_wrong_grid(self, grid4_objects):
         from minclue import FingerprintMismatchError
@@ -321,6 +341,17 @@ class TestOracleChecks:
     def test_broken_finder_raises(self, answer, message):
         with pytest.raises(ValueError, match=message):
             fcp_solve(self.broken(answer))
+
+    def test_lying_finder_raises_internal_error(self):
+        # the finder reports cut {0, 1} as minimal, then answers with diff
+        # {1} inside it: the loop refuses rather than return a certificate
+        answers = {frozenset(): (2, 2, 1), frozenset({0}): (1, 2, 1)}
+
+        def finder(revealed, budget, stats):
+            return answers.get(revealed)
+
+        with pytest.raises(MscpInternalError, match="already implied"):
+            fcp_solve(FcpInstance((1, 1, 1), finder))
 
     def test_latin_node_budget_keeps_bounds(self):
         squares = list(oracle.latin4())
