@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -74,13 +76,8 @@ def bucket_label(seconds: float) -> str:
 
 
 def bucket_table(times: list[float]) -> list[tuple[str, int]]:
-    labels = [f"<={TIME_BUCKETS[0]}"]
-    labels += [f"{a}-{b}" for a, b in zip(TIME_BUCKETS, TIME_BUCKETS[1:])]
-    labels.append(f">={TIME_BUCKETS[-1]}")
-    counts = {label: 0 for label in labels}
-    for t in times:
-        counts[bucket_label(t)] += 1
-    return [(label, counts[label]) for label in labels]
+    counts = Counter(map(bucket_label, times))
+    return [(label, counts[label]) for label in map(bucket_label, [*TIME_BUCKETS, math.inf])]
 
 
 def parse_budget(text: Optional[str]) -> SearchBudget:

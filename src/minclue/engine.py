@@ -356,7 +356,7 @@ class DeviationConstraint:
         normalized = tuple(frozenset(group) for group in self.nogoods)
         for group in normalized:
             for cell in group:
-                self.target.size.check_cell(cell)
+                self.target.size.index(cell)
         object.__setattr__(self, "nogoods", normalized)
 
 
@@ -528,9 +528,9 @@ def find_deviating_grid(
     ticker = _Ticker(budget)
     try:
         search = _DeviationSearch(constraint.target, ticker)
-        n = constraint.target.size.n
+        index = constraint.target.size.index
         for group in constraint.nogoods:
-            search.add_nogood([(cell.row - 1) * n + cell.col - 1 for cell in group])
+            search.add_nogood([index(cell) for cell in group])
         values = next(search.grids(constraint.exact_deviations), None)
     finally:
         ticker.record(stats)

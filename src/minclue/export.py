@@ -109,7 +109,7 @@ def export_bilevel(
                 raise NotUnavoidableError(f"cut {member.cells} is not unavoidable")
     n, s = g.size.n, g.size.s
     cells = range(n * n)
-    coords = [(i // n + 1, i % n + 1) for i in cells]
+    coords = [(cell.row, cell.col) for cell in g.size.all_cells()]
     label = [f"{r}_{c}" for r, c in coords]
     x = [[variable_name("x", n, r, c, k) for k in range(1, n + 1)] for r, c in coords]
     y = [variable_name("y", n, r, c) for r, c in coords]

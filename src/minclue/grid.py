@@ -2,6 +2,9 @@
 
 Cells are 1-based (row, col), row major; row 1 is the top row of the usual
 diagram. Box (p, q) covers rows s*p-s+1 .. s*p and columns s*q-s+1 .. s*q.
+`GridSize.index` is the one map from a cell to its 0-based row-major index,
+and the one bounds check: it raises GridError for a cell off the board.
+`GridSize.all_cells()` lists the cells in index order, its one inverse.
 All types are immutable after construction and safe to share across threads.
 
 Which cells form a unit is decided once, in the unit table `_Geometry`:
@@ -85,9 +88,11 @@ class GridSize:
     def cell_count(self) -> int:
         return self.n * self.n
 
-    def check_cell(self, cell: "Cell") -> None:
+    def index(self, cell: "Cell") -> int:
+        """The cell's row-major index; GridError for a cell off the board."""
         if not (1 <= cell.row <= self.n and 1 <= cell.col <= self.n):
             raise GridError(f"cell {cell} out of bounds for {self.n}x{self.n} board")
+        return (cell.row - 1) * self.n + cell.col - 1
 
     def all_cells(self) -> list["Cell"]:
         return [Cell(r, c) for r in range(1, self.n + 1) for c in range(1, self.n + 1)]
@@ -165,19 +170,18 @@ def _scan_units(geo: _Geometry, entries: Sequence[int]) -> None:
                 seen[slot] |= bit
 
 
-def _check_entries(size: GridSize, entries: Iterable[int], allow_empty: bool) -> tuple[int, ...]:
+def _check_entries(geo: _Geometry, entries: Iterable[int], allow_empty: bool) -> tuple[int, ...]:
     """The entries as a tuple, after the one count, range and unit check
-    that every board runs; 0 (an empty cell) only when `allow_empty`."""
+    that every board and Latin target runs; 0 (an empty cell) only when
+    `allow_empty`."""
     entries = tuple(int(v) for v in entries)
-    if len(entries) != size.cell_count:
-        raise LengthMismatchError(
-            f"expected {size.cell_count} entries, got {len(entries)}"
-        )
+    if len(entries) != geo.cells:
+        raise LengthMismatchError(f"expected {geo.cells} entries, got {len(entries)}")
     low = 0 if allow_empty else 1
     for v in entries:
-        if not (low <= v <= size.n):
-            raise IllegalCharacterError(f"entry {v} outside [{low}, {size.n}]")
-    _scan_units(_Geometry.get(size.n, size.s), entries)
+        if not (low <= v <= geo.n):
+            raise IllegalCharacterError(f"entry {v} outside [{low}, {geo.n}]")
+    _scan_units(geo, entries)
     return entries
 
 
@@ -193,17 +197,18 @@ class _Board:
 
     def __init__(self, size: GridSize, entries: Iterable[int]):
         self.size = size
-        self._entries = _check_entries(size, entries, self._allow_empty)
+        geo = _Geometry.get(size.n, size.s)
+        self._entries = _check_entries(geo, entries, self._allow_empty)
 
     @property
     def entries(self) -> tuple[int, ...]:
         return self._entries
 
     def entry(self, row: int, col: int) -> int:
-        return self._entries[(row - 1) * self.size.n + (col - 1)]
+        return self[Cell(row, col)]
 
     def __getitem__(self, cell: Cell) -> int:
-        return self.entry(cell.row, cell.col)
+        return self._entries[self.size.index(cell)]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -265,14 +270,12 @@ class CluePattern:
         return sum(self._mask)
 
     def cells(self) -> list[Cell]:
-        n = self.size.n
-        return [Cell(i // n + 1, i % n + 1) for i, v in enumerate(self._mask) if v]
+        return [cell for cell, v in zip(self.size.all_cells(), self._mask) if v]
 
     def without(self, cells: Iterable[Cell]) -> "CluePattern":
         mask = list(self._mask)
         for cell in cells:
-            self.size.check_cell(cell)
-            mask[(cell.row - 1) * self.size.n + (cell.col - 1)] = False
+            mask[self.size.index(cell)] = False
         return CluePattern(self.size, mask)
 
     def __eq__(self, other: object) -> bool:

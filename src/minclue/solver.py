@@ -38,7 +38,7 @@ from .engine import (
     # not called here; perfbench/tracing.py wraps this module's name for it
     find_alternate,
 )
-from .grid import CluePattern, Grid, _Geometry, _scan_units, apply_pattern
+from .grid import CluePattern, Grid, _Geometry, _check_entries, apply_pattern
 from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
 from .unavoidable import (
     FingerprintMismatchError,
@@ -309,8 +309,7 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     """
     cfg = config or MscpConfig()
     budget = _Ticker(cfg.solve_budget)
-    cells = g.size.all_cells()
-    index_of = {cell: i for i, cell in enumerate(cells)}
+    cells, index = g.size.all_cells(), g.size.index
     alternate = _table_alternate(_Geometry.get(g.size.n, g.size.s), g.entries)
 
     certificate = UnavoidableCollection(grid_fingerprint(g), g.size.n)
@@ -331,12 +330,12 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
             cap = cfg.max_cut_size or len(cells)
             fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
             for rec in fits[: cfg.initial_cuts]:
-                outside = frozenset(range(len(cells))) - {index_of[c] for c in rec.cells}
+                outside = frozenset(range(len(cells))) - {index(c) for c in rec.cells}
                 if _alternate_diff(g.entries, alternate, budget, outside) is None:
                     raise NotUnavoidableError(f"seed set {rec.cells} is not unavoidable")
                 certificate.add(rec)
     log.debug("seeded %d cuts in %.2fs", len(certificate), perf_counter() - budget.started)
-    seeds = [frozenset(index_of[c] for c in rec.cells) for rec in certificate.records]
+    seeds = [frozenset(index(c) for c in rec.cells) for rec in certificate.records]
 
     outcome = _ihs_loop(g.entries, alternate, seeds, budget)
 
@@ -391,14 +390,12 @@ def fcp_solve(instance: FcpInstance, budget: Optional[SearchBudget] = None) -> F
 
 
 def latin_square_fcp_instance(square: Sequence[int]) -> FcpInstance:
-    """Fewest-clue instance for an order-n Latin square (no box constraint)."""
-    target = tuple(int(v) for v in square)
-    n = isqrt(len(target))
-    if n < 1 or n * n != len(target):
-        raise ValueError("square length is not a perfect square")
-    if not all(1 <= v <= n for v in target):
-        raise ValueError("target is not a Latin square over 1..n")
-    # n symbols, none repeated in a row or column
+    """Fewest-clue instance for an order-n Latin square (no box constraint);
+    a square that is not one raises the GridError a board would."""
+    n = isqrt(len(square))
+    if n < 1:
+        raise ValueError("the square is empty")
     geo = _Geometry.get(n, 0)
-    _scan_units(geo, target)
+    # n * n symbols in 1..n, none repeated in a row or column
+    target = _check_entries(geo, square, allow_empty=False)
     return FcpInstance(target, _table_alternate(geo, target))

@@ -26,7 +26,7 @@ from .engine import (
     # not called here; perfbench/tracing.py wraps this module's name for it
     find_deviating_grid,
 )
-from .grid import Cell, CluePattern, Grid, GridError, serialize
+from .grid import Cell, CluePattern, Grid, GridError, GridSize, serialize
 
 __all__ = [
     "UnavoidableSet",
@@ -112,18 +112,22 @@ class UnavoidableCollection:
     """Insertion-ordered store of minimal unavoidable sets of one grid.
 
     Members form an antichain (no member contains another); violated inserts
-    raise CorruptCollectionError. `complete` is False when generation was cut
-    short by a limit rather than exhausting the requested size range.
+    raise CorruptCollectionError, and a cell off the n x n board raises
+    GridError. `complete` is False when generation was cut short by a limit
+    rather than exhausting the requested size range.
     """
 
     def __init__(self, fingerprint: str, n: int, complete: bool = True):
         self.fingerprint = fingerprint
         self.n = n
+        self.size = GridSize.of_side(n)
         self.complete = complete
         self._records: list[SetRecord] = []
         self._family: list[frozenset[Cell]] = []
 
     def add(self, record: SetRecord) -> None:
+        for cell in record.cells:
+            self.size.index(cell)
         new = record.cells.as_frozenset()
         for existing in self._family:
             if existing <= new or new <= existing:
@@ -198,14 +202,23 @@ def minimalize(
     """Shrink an unavoidable set until no single cell can be dropped.
 
     Deletions are attempted from the canonically last cell backwards, so the
-    survivor is biased toward the earliest rows and columns.
+    survivor is biased toward the earliest rows and columns. The node and
+    time `budget` covers the whole shrink, every search of it together.
     """
+    ticker = _Ticker(budget)
+    full = CluePattern.all_cells(g.size)
+
+    def unavoidable(trial: set) -> bool:
+        pattern = full.without(trial)
+        alt = ticker.spend(lambda share, stats: find_alternate(g, pattern, share, stats))
+        return alt is not None
+
     keep = set(cells)
-    if not is_unavoidable(g, keep, budget):
+    if not unavoidable(keep):
         raise NotUnavoidableError(f"{sorted(keep)} is not unavoidable")
     for cell in sorted(keep, reverse=True):
         trial = keep - {cell}
-        if trial and is_unavoidable(g, trial, budget):
+        if trial and unavoidable(trial):
             keep = trial
     return UnavoidableSet(keep)
 
@@ -278,7 +291,8 @@ def save_collection(collection: UnavoidableCollection, path) -> None:
 
 def load_collection(path, grid: Optional[Grid] = None) -> UnavoidableCollection:
     """Read a collection back, verifying header, antichain, and (when a grid
-    is supplied) the grid fingerprint. The optional `index` and
+    is supplied) the grid fingerprint. The collection itself checks that
+    every cell lies on its n x n board. The optional `index` and
     `found_at_m` comments must be integers; save_collection rewrites them
     from the position and the size."""
     with open(path, "r", encoding="ascii") as fh:
@@ -289,44 +303,33 @@ def load_collection(path, grid: Optional[Grid] = None) -> UnavoidableCollection:
         part.split("=", 1) for part in lines[0][len(_HEADER_PREFIX):].split() if "=" in part
     )
     try:
-        n = int(header["n"])
-        fingerprint = header["fingerprint"]
         complete = bool(int(header.get("complete", "1")))
+        collection = UnavoidableCollection(header["fingerprint"], int(header["n"]), complete)
     except (KeyError, ValueError) as exc:
         raise CorruptCollectionError(f"bad header: {lines[0]!r}") from exc
-    if grid is not None and grid_fingerprint(grid) != fingerprint:
+    if grid is not None and grid_fingerprint(grid) != collection.fingerprint:
         raise FingerprintMismatchError(
             "collection was generated from a different grid"
         )
-    collection = UnavoidableCollection(fingerprint, n, complete)
     for lineno, line in enumerate(lines[1:], start=2):
         body, _, comment = line.partition("#")
         head, _, cell_text = body.partition(":")
         if not head.strip().startswith("m="):
             raise CorruptCollectionError(f"line {lineno}: expected 'm=<size>:'")
-        try:
-            declared = int(head.strip()[2:])
-            cells = [
-                Cell(int(r), int(c))
-                for r, c in (tok.split(",") for tok in cell_text.split())
-            ]
-        except (ValueError, GridError) as exc:
-            raise CorruptCollectionError(f"line {lineno}: {exc}") from exc
-        meta = dict(
-            part.split("=", 1) for part in comment.split() if "=" in part
-        )
-        if len(cells) != declared or len(set(cells)) != declared:
-            raise CorruptCollectionError(
-                f"line {lineno}: declared size {declared} does not match cells"
-            )
-        for cell in cells:
-            if cell.row > n or cell.col > n:
-                raise CorruptCollectionError(f"line {lineno}: cell {cell} out of bounds")
+        meta = dict(part.split("=", 1) for part in comment.split() if "=" in part)
         try:
             # written from the position and the size: checked, not kept
             int(meta.get("index", 0)), int(meta.get("found_at_m", 0))
             seconds = float(meta.get("seconds", 0.0))
         except ValueError as exc:
             raise CorruptCollectionError(f"line {lineno}: bad metadata") from exc
-        collection.add(SetRecord(UnavoidableSet(cells), seconds))
+        try:
+            declared = int(head.strip()[2:])
+            pairs = (tok.split(",") for tok in cell_text.split())
+            cells = [Cell(int(r), int(c)) for r, c in pairs]
+            if len(cells) != declared or len(set(cells)) != declared:
+                raise ValueError(f"declared size {declared} does not match cells")
+            collection.add(SetRecord(UnavoidableSet(cells), seconds))
+        except ValueError as exc:  # GridError and CorruptCollectionError among them
+            raise CorruptCollectionError(f"line {lineno}: {exc}") from exc
     return collection

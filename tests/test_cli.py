@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from conftest import FIG_GRID_TEXT, FIG_PUZZLE_TEXT
-from minclue.cli import RESULT_FIELDS, bucket_label, main, parse_budget
+from minclue.cli import RESULT_FIELDS, bucket_label, bucket_table, main, parse_budget
 
 
 def write(path, *lines):
@@ -87,6 +87,22 @@ class TestGenunav:
         assert bucket_label(5) == "1-10"
         assert bucket_label(7200) == "3600-7200"
         assert bucket_label(9000) == ">=7200"
+
+    def test_bucket_table_lists_every_label_in_order(self):
+        table = bucket_table([0.2, 1, 1.5, 10, 10.5, 7200, 7200.5, 9000])
+        assert table == [
+            ("<=1", 2),
+            ("1-10", 2),
+            ("10-30", 1),
+            ("30-60", 0),
+            ("60-300", 0),
+            ("300-600", 0),
+            ("600-1800", 0),
+            ("1800-3600", 0),
+            ("3600-7200", 1),
+            (">=7200", 2),
+        ]
+        assert [count for _, count in bucket_table([])] == [0] * 10
 
 
 class TestSolve:

@@ -57,6 +57,19 @@ class TestGridSize:
         with pytest.raises(GridError):
             GridSize(9, 2)
 
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_index_is_row_major_and_all_cells_its_inverse(self, n):
+        size = GridSize.of_side(n)
+        cells = size.all_cells()
+        assert [size.index(cell) for cell in cells] == list(range(n * n))
+        assert cells[size.index(Cell(2, 3))] == Cell(2, 3)
+        assert size.index(Cell(2, 3)) == n + 2
+
+    @pytest.mark.parametrize("cell", [Cell(1, 5), Cell(5, 1), Cell(5, 5)])
+    def test_index_rejects_cells_off_the_board(self, size4, cell):
+        with pytest.raises(GridError, match="out of bounds"):
+            size4.index(cell)
+
 
 class TestCellOrder:
     def test_lexicographic(self):
@@ -80,6 +93,19 @@ class TestParseGrid:
 
     def test_serialize_round_trip(self, size9):
         assert serialize(parse_grid(FIG_GRID_TEXT, size9)) == FIG_GRID_TEXT
+
+    def test_reads_off_the_board_raise(self, size4):
+        # a wrapped index would read another cell's digit: (1, 5) is (2, 1)
+        grid = parse_grid("1234341221434321", size4)
+        assert grid.entry(2, 1) == 3 and grid[Cell(4, 4)] == 1
+        for read in (
+            lambda: grid.entry(0, 1),
+            lambda: grid.entry(1, 5),
+            lambda: grid[Cell(1, 5)],
+            lambda: grid[Cell(5, 1)],
+        ):
+            with pytest.raises(GridError):
+                read()
 
     def test_length_mismatch(self, size9):
         with pytest.raises(LengthMismatchError):

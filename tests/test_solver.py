@@ -6,9 +6,13 @@ from conftest import GREEN
 from minclue import (
     Cell,
     CluePattern,
+    ConstraintViolationError,
     FcpInstance,
     GenerationLimits,
+    GridError,
     HittingInstance,
+    IllegalCharacterError,
+    LengthMismatchError,
     MscpConfig,
     MscpStatus,
     NotUnavoidableError,
@@ -20,8 +24,10 @@ from minclue import (
     fcp_solve,
     generate_all,
     grid_fingerprint,
+    is_unavoidable,
     latin_square_fcp_instance,
     load_collection,
+    minimalize,
     save_collection,
     solve_mscp,
     verify_validity,
@@ -139,6 +145,15 @@ class TestSolveMscp4x4:
         capped = run(MscpConfig(seed_collection=coll, max_cut_size=4))
         assert capped == run(MscpConfig(seed_collection=fitting))
         assert capped[:2] == (MscpStatus.OPTIMAL, 4)
+
+    def test_seed_cell_off_the_board(self, grid4_objects):
+        # a collection stating a larger board can hold the cell; the solve
+        # rejects it with a GridError, not a KeyError
+        grid = grid4_objects[0]
+        coll = UnavoidableCollection(grid_fingerprint(grid), 9)
+        coll.add(SetRecord(UnavoidableSet([Cell(1, 1), Cell(1, 5)]), 0.0))
+        with pytest.raises(GridError, match="out of bounds"):
+            solve_mscp(grid, MscpConfig(seed_collection=coll))
 
     def test_seed_collection_wrong_grid(self, grid4_objects):
         from minclue import FingerprintMismatchError
@@ -276,6 +291,11 @@ class TestBudgetedSolve:
         assert oracle_throughput.outcome(result) == oracle_throughput.PIN
         assert 9 <= result.lower_bound <= 17 <= result.upper_bound
         assert verify_validity(figure_grid, result.best_pattern)
+        # each cut is checked by the public searches, not by the loop
+        assert len(result.certificate) == 43
+        for member in result.certificate:
+            assert is_unavoidable(figure_grid, member.cells)
+            assert minimalize(figure_grid, member.cells) == member
 
 
 class TestFcp:
@@ -317,6 +337,19 @@ class TestFcp:
     def test_latin_rejects_non_latin_target(self):
         with pytest.raises(ValueError):
             latin_square_fcp_instance((1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4))
+
+    @pytest.mark.parametrize(
+        "square, error",
+        [
+            ((1, 2, 2, 1, 1), LengthMismatchError),
+            ((1, 2, 2, 3), IllegalCharacterError),
+            ((1, 2, 0, 1), IllegalCharacterError),
+            ((1, 2, 1, 2), ConstraintViolationError),
+        ],
+    )
+    def test_latin_target_gets_the_board_entry_check(self, square, error):
+        with pytest.raises(error):
+            latin_square_fcp_instance(square)
 
 
 class TestOracleChecks:

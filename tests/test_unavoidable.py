@@ -12,9 +12,12 @@ from minclue import (
     FingerprintMismatchError,
     GenerationLimits,
     Grid,
+    GridError,
     NotUnavoidableError,
     SearchBudget,
+    SearchInterrupted,
     SearchStats,
+    UnavoidableCollection,
     UnavoidableSet,
     find_deviating_grid,
     generate_all,
@@ -25,6 +28,7 @@ from minclue import (
     save_collection,
     verify_validity,
 )
+from minclue.unavoidable import SetRecord
 
 
 def swap_cells(grid, cells, mapping):
@@ -85,6 +89,16 @@ class TestMinimalize:
     def test_rejects_avoidable_input(self, figure_grid):
         with pytest.raises(NotUnavoidableError):
             minimalize(figure_grid, [Cell(1, 1), Cell(2, 2)])
+
+    def test_budget_covers_the_whole_shrink(self, size4):
+        # nine searches of 12+11+6+10+5+9+4+8+3 = 68 nodes in all
+        grid = Grid(size4, [1, 2, 3, 4, 3, 4, 1, 2, 2, 1, 4, 3, 4, 3, 2, 1])
+        cells = size4.all_cells()[:8]
+        want = UnavoidableSet([Cell(1, 1), Cell(1, 3), Cell(2, 1), Cell(2, 3)])
+        assert minimalize(grid, cells) == want
+        with pytest.raises(SearchInterrupted):
+            minimalize(grid, cells, SearchBudget(max_nodes=12))
+        assert minimalize(grid, cells, SearchBudget(max_nodes=68)) == want
 
 
 def emitted(collection):
@@ -293,6 +307,35 @@ class TestCollectionIO:
         path = tmp_path / "junk.unav"
         path.write_text("BOGUS\n")
         with pytest.raises(CorruptCollectionError):
+            load_collection(path)
+
+    def test_off_board_cell_never_stored(self, grid4_objects, tmp_path):
+        # such a set used to be saved to a file that loading then rejected
+        coll = UnavoidableCollection(grid_fingerprint(grid4_objects[0]), 4)
+        with pytest.raises(GridError, match="out of bounds"):
+            coll.add(SetRecord(UnavoidableSet([Cell(1, 1), Cell(1, 5)]), 0.0))
+        assert len(coll) == 0
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("m=2: 1,1 1,5", "line 2: cell \\(1,5\\) out of bounds"),
+            ("m=0:", "line 2: an unavoidable set cannot be empty"),
+            ("m=1: 0,1", "line 2: cell coordinates are 1-based"),
+        ],
+    )
+    def test_bad_set_line(self, grid4_objects, tmp_path, line, message):
+        grid = grid4_objects[0]
+        path = tmp_path / "bad.unav"
+        path.write_text(f"MSCPUNAV v1 n=4 fingerprint={grid_fingerprint(grid)}\n{line}\n")
+        with pytest.raises(CorruptCollectionError, match=message):
+            load_collection(path, grid)
+
+    @pytest.mark.parametrize("n", ["5", "0", "x"])
+    def test_bad_board_side_in_header(self, grid4_objects, tmp_path, n):
+        path = tmp_path / "side.unav"
+        path.write_text(f"MSCPUNAV v1 n={n} fingerprint={grid_fingerprint(grid4_objects[0])}\n")
+        with pytest.raises(CorruptCollectionError, match="bad header"):
             load_collection(path)
 
     def test_size_mismatch_line(self, grid4_objects, tmp_path):
