@@ -393,6 +393,23 @@ class _DeviationSearch:
     a lower bound on the final distance; branches where the exact target
     becomes unreachable or exceeded are cut. A nogood is violated exactly
     when its cell mask is a subset of the mask of deviating cells.
+
+    Forced cells: an open cell whose target digit already sits in one of
+    its units deviates in every completion. The frame's mask `forced` of
+    such cells is kept without a scan: placing digit v off target forces
+    the open cells whose target is v in the placed cell's row, column and
+    box (`pos`), and the placed cell leaves the mask; an on-target
+    placement forces nothing, as the placed cell is the only cell of its
+    units with that target digit. Two cuts on an off-target child follow,
+    both exact because every forced cell will deviate. The count rule cuts
+    when its deviations plus its forced cells exceed m, a fourth term of
+    the displaced-digit bound. The nogood rule cuts when every cell of a
+    nogood deviates or is forced; only the placed cell and the newly forced
+    cells join that union, so only their nogoods are read. A nogood added in
+    place that is already dead in an open frame is caught, as before, when
+    one of its cells is next put off target. Neither rule cuts a grid at
+    distance m that honours the nogoods, so the grids and their order are
+    those of the search without them; only the node count falls.
     """
 
     def __init__(self, grid: Grid, ticker: _Ticker):
@@ -431,11 +448,12 @@ class _DeviationSearch:
         # all keep their target digits iff these equal the placed digits
         self.t_used = [0] * len(geo.members)
         cands, counts = [geo.full] * geo.cells, [geo.n] * geo.cells
-        return self._search(0, 0, 0, 0, cands, counts, geo.cells)
+        return self._search(0, 0, 0, 0, 0, cands, counts, geo.cells)
 
     def _search(
         self,
         deviating: int,
+        forced: int,
         row_total: int,
         col_total: int,
         box_total: int,
@@ -444,8 +462,9 @@ class _DeviationSearch:
         deviatable: int,
     ) -> Iterator[tuple[int, ...]]:
         """Grids below the current assignment; `deviating` is the mask of
-        deviating cells, the totals are the displaced-digit counts, and
-        `cands`, `counts` and `deviatable` are this frame's table."""
+        deviating cells, `forced` the mask of open cells that can no longer
+        take their target digit, the totals are the displaced-digit counts,
+        and `cands`, `counts` and `deviatable` are this frame's table."""
         m = self.m
         deviations = deviating.bit_count()
         values = self.values
@@ -463,7 +482,11 @@ class _DeviationSearch:
         peers, cell_slots, gv, gbit, cell_bit, nogoods = self.branch_of[best]
         r, c, b = cell_slots
         off_target = self.off_target
-        pos, t_used = self.pos, self.t_used
+        t_used = self.t_used
+        # the cells of the branch cell's units by target digit
+        pos_r, pos_c, pos_b = self.pos[r], self.pos[c], self.pos[b]
+        nogoods_of = self.nogoods_of
+        room = m - deviations - 1
         tick = self.ticker.tick
         assigned = self.geo.n + 1
         for slot in cell_slots:
@@ -471,6 +494,8 @@ class _DeviationSearch:
         cand = cands[best]
         # the children's count before their peers lose the placed digit
         child_deviatable = deviatable - (cand & off_target[best] != 0)
+        # an off-target child's forced cells, before it adds its own
+        left_forced = forced & ~cell_bit
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -481,21 +506,41 @@ class _DeviationSearch:
                 used[slot] |= bit
             if value == gv:
                 descend = True
-                dev, rt, ct, bt = deviating, row_total, col_total, box_total
+                dev, fc, rt, ct, bt = deviating, forced, row_total, col_total, box_total
             else:
-                descend = False
                 dev = deviating | cell_bit
-                for mask in nogoods:
-                    if mask & dev == mask:
-                        break
-                else:
-                    # +1: the overwritten target digit is not yet elsewhere in
-                    # the unit; -1: `value` was displaced from its own target
-                    # cell in the unit and is now placed
-                    rt = row_total + (not used[r] & gbit) - (values[pos[r][value]] != 0)
-                    ct = col_total + (not used[c] & gbit) - (values[pos[c][value]] != 0)
-                    bt = box_total + (not used[b] & gbit) - (values[pos[b][value]] != 0)
-                    descend = deviations + 1 + max(rt, ct, bt) <= m
+                # the open cells of the units whose target digit is `value`
+                # can no longer take it
+                pr, pc, pb = pos_r[value], pos_c[value], pos_b[value]
+                placed_r, placed_c, placed_b = values[pr], values[pc], values[pb]
+                newly = (
+                    (0 if placed_r else 1 << pr)
+                    | (0 if placed_c else 1 << pc)
+                    | (0 if placed_b else 1 << pb)
+                ) & ~forced
+                fc = left_forced | newly
+                # +1: the overwritten target digit is not yet elsewhere in
+                # the unit; -1: `value` was displaced from its own target
+                # cell in the unit and is now placed
+                rt = row_total + (not used[r] & gbit) - (placed_r != 0)
+                ct = col_total + (not used[c] & gbit) - (placed_c != 0)
+                bt = box_total + (not used[b] & gbit) - (placed_b != 0)
+                descend = max(rt, ct, bt, fc.bit_count()) <= room
+                if descend:
+                    # a nogood dies once all its cells deviate or are forced
+                    # to; it must hold the placed cell or a newly forced one
+                    doomed = dev | fc
+                    for mask in nogoods:
+                        if mask & doomed == mask:
+                            descend = False
+                            break
+                    while newly and descend:
+                        low_bit = newly & -newly
+                        newly ^= low_bit
+                        for mask in nogoods_of[low_bit.bit_length() - 1]:
+                            if mask & doomed == mask:
+                                descend = False
+                                break
             if descend:
                 child_cands, child_counts = cands[:], counts[:]
                 child_cands[best], child_counts[best] = 0, assigned
@@ -509,7 +554,7 @@ class _DeviationSearch:
                             # `bit` was the peer's last non-target digit
                             left_deviatable -= 1
                 yield from self._search(
-                    dev, rt, ct, bt, child_cands, child_counts, left_deviatable
+                    dev, fc, rt, ct, bt, child_cands, child_counts, left_deviatable
                 )
             values[best] = 0
             for slot in cell_slots:

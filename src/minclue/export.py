@@ -22,13 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .grid import Grid, _Geometry
-from .unavoidable import (
-    FingerprintMismatchError,
-    NotUnavoidableError,
-    UnavoidableCollection,
-    grid_fingerprint,
-    is_unavoidable,
-)
+from .unavoidable import NotUnavoidableError, UnavoidableCollection, is_unavoidable
 
 __all__ = [
     "BilevelModelFiles",
@@ -98,12 +92,11 @@ def export_bilevel(
     """Write model/aux (and cut) files; see the module docstring.
 
     Every cut must be an unavoidable set of g (FingerprintMismatchError for
-    a collection of another grid, NotUnavoidableError for a set that is
-    not); both are checked before any file is written.
+    a collection of another grid or board side, NotUnavoidableError for a
+    set that is not); both are checked before any file is written.
     """
     if cuts is not None:
-        if cuts.fingerprint != grid_fingerprint(g):
-            raise FingerprintMismatchError("cut collection was generated from a different grid")
+        cuts.check_grid(g)
         for member in cuts:
             if not is_unavoidable(g, member):
                 raise NotUnavoidableError(f"cut {member.cells} is not unavoidable")

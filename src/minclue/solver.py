@@ -41,7 +41,6 @@ from .engine import (
 from .grid import CluePattern, Grid, _Geometry, _check_entries, apply_pattern
 from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
 from .unavoidable import (
-    FingerprintMismatchError,
     GenerationLimits,
     NotUnavoidableError,
     SetRecord,
@@ -323,14 +322,15 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
             for rec in seeded.records:
                 certificate.add(rec)
         elif cfg.initial_cuts > 0:
-            if cfg.seed_collection.fingerprint != certificate.fingerprint:
-                raise FingerprintMismatchError(
-                    "seed collection was generated from a different grid"
-                )
             cap = cfg.max_cut_size or len(cells)
             fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
-            for rec in fits[: cfg.initial_cuts]:
-                outside = frozenset(range(len(cells))) - {index(c) for c in rec.cells}
+            fits = fits[: cfg.initial_cuts]
+            # GridError for a cell off g's board, then FingerprintMismatchError
+            # for a collection of another grid or board side
+            chosen = [{index(c) for c in rec.cells} for rec in fits]
+            cfg.seed_collection.check_grid(g)
+            for rec, seed in zip(fits, chosen):
+                outside = frozenset(range(len(cells))) - seed
                 if _alternate_diff(g.entries, alternate, budget, outside) is None:
                     raise NotUnavoidableError(f"seed set {rec.cells} is not unavoidable")
                 certificate.add(rec)

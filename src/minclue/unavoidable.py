@@ -163,6 +163,16 @@ class UnavoidableCollection:
             and self.records == other.records
         )
 
+    def check_grid(self, g: Grid) -> None:
+        """Raise FingerprintMismatchError unless the collection belongs to
+        g: the same board side and the same grid fingerprint."""
+        if self.n != g.size.n:
+            raise FingerprintMismatchError(
+                f"collection is for a board of side {self.n}, the grid has side {g.size.n}"
+            )
+        if self.fingerprint != grid_fingerprint(g):
+            raise FingerprintMismatchError("collection was generated from a different grid")
+
     def __repr__(self) -> str:
         return (
             f"UnavoidableCollection(n={self.n}, sets={len(self)}, "
@@ -291,10 +301,10 @@ def save_collection(collection: UnavoidableCollection, path) -> None:
 
 def load_collection(path, grid: Optional[Grid] = None) -> UnavoidableCollection:
     """Read a collection back, verifying header, antichain, and (when a grid
-    is supplied) the grid fingerprint. The collection itself checks that
-    every cell lies on its n x n board. The optional `index` and
-    `found_at_m` comments must be integers; save_collection rewrites them
-    from the position and the size."""
+    is supplied) the board side and the grid fingerprint. The collection
+    itself checks that every cell lies on its n x n board. The optional
+    `index` and `found_at_m` comments must be integers; save_collection
+    rewrites them from the position and the size."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
@@ -307,10 +317,8 @@ def load_collection(path, grid: Optional[Grid] = None) -> UnavoidableCollection:
         collection = UnavoidableCollection(header["fingerprint"], int(header["n"]), complete)
     except (KeyError, ValueError) as exc:
         raise CorruptCollectionError(f"bad header: {lines[0]!r}") from exc
-    if grid is not None and grid_fingerprint(grid) != collection.fingerprint:
-        raise FingerprintMismatchError(
-            "collection was generated from a different grid"
-        )
+    if grid is not None:
+        collection.check_grid(grid)
     for lineno, line in enumerate(lines[1:], start=2):
         body, _, comment = line.partition("#")
         head, _, cell_text = body.partition(":")

@@ -1,10 +1,12 @@
 """Reference deviation search: the rescanning form of `_DeviationSearch`.
 
 At every node it rescans all open cells for their candidates, the
-deviatable count and the branch cell, where the library keeps an
-incremental candidate table. Branch order, tick placement, pruning and
-tie-breaking are the same, so both must emit the same grids in the same
-order with the same node counts.
+deviatable count, the forced cells and the branch cell, and each
+off-target child rescans them for its forced cells, where the library keeps
+an incremental candidate table and forced mask. A forced cell is an open
+cell whose candidates lack its target digit. Branch order, tick placement,
+pruning and tie-breaking are the same, so both must emit the same grids in
+the same order with the same node counts.
 """
 from __future__ import annotations
 
@@ -64,6 +66,19 @@ class RescanningSearch:
     def grids(self) -> Iterator[tuple[int, ...]]:
         return self._search(0, 0, 0, 0)
 
+    def _forced(self) -> int:
+        """The mask of open cells whose candidates lack the target digit."""
+        state = self.state
+        values, used = state.values, state.used
+        slots = self.geo.slots
+        forced = 0
+        for i in state.empties:
+            if not values[i]:
+                r, c, b = slots[i]
+                if (used[r] | used[c] | used[b]) >> (self.target[i] - 1) & 1:
+                    forced |= 1 << i
+        return forced
+
     def _search(self, deviating, row_total, col_total, box_total):
         m = self.m
         deviations = deviating.bit_count()
@@ -95,13 +110,13 @@ class RescanningSearch:
                 best, best_cand, best_count = i, cand, count
         if deviations + deviatable < m:
             return
+        forced = self._forced()
         cell_slots = slots[best]
         r, c, b = cell_slots
         gv = self.target[best]
         gbit = 1 << (gv - 1)
         cell_bit = 1 << best
         pos, t_used = self.pos, self.t_used
-        nogoods = self.nogoods_of[best]
         tick = self.ticker.tick
         for slot in cell_slots:
             t_used[slot] |= gbit
@@ -118,18 +133,24 @@ class RescanningSearch:
                 yield from self._search(deviating, row_total, col_total, box_total)
             else:
                 dev = deviating | cell_bit
-                for mask in nogoods:
-                    if mask & dev == mask:
-                        break
-                else:
-                    dr = (not used[r] & gbit) - (values[pos[r][value]] != 0)
-                    dc = (not used[c] & gbit) - (values[pos[c][value]] != 0)
-                    db = (not used[b] & gbit) - (values[pos[b][value]] != 0)
-                    bound = max(row_total + dr, col_total + dc, box_total + db)
-                    if deviations + 1 + bound <= m:
-                        yield from self._search(
-                            dev, row_total + dr, col_total + dc, box_total + db
-                        )
+                child_forced = self._forced()
+                newly = child_forced & ~forced
+                # the placed cell's nogoods and those of the newly forced cells
+                checked = [best] + [i for i in range(geo.cells) if newly >> i & 1]
+                doomed = dev | child_forced
+                dead = any(
+                    mask & doomed == mask for i in checked for mask in self.nogoods_of[i]
+                )
+                dr = (not used[r] & gbit) - (values[pos[r][value]] != 0)
+                dc = (not used[c] & gbit) - (values[pos[c][value]] != 0)
+                db = (not used[b] & gbit) - (values[pos[b][value]] != 0)
+                bound = max(
+                    row_total + dr, col_total + dc, box_total + db, child_forced.bit_count()
+                )
+                if not dead and deviations + 1 + bound <= m:
+                    yield from self._search(
+                        dev, row_total + dr, col_total + dc, box_total + db
+                    )
             values[best] = 0
             for slot in cell_slots:
                 used[slot] ^= bit

@@ -160,6 +160,15 @@ class TestCutChecks:
             export_bilevel(grid4_objects[0], green_collection(figure_grid), tmp_path / "m")
         assert not (tmp_path / "m").exists()
 
+    def test_collection_of_another_board_side(self, figure_grid, tmp_path):
+        # the GREEN cells lie on a 16x16 board too; its cut row would name
+        # y_01_03 and the rest, which the 9x9 model does not declare
+        coll = UnavoidableCollection(grid_fingerprint(figure_grid), 16)
+        coll.add(SetRecord(UnavoidableSet(GREEN), 0.0))
+        with pytest.raises(FingerprintMismatchError, match="side 16"):
+            export_bilevel(figure_grid, coll, tmp_path / "m")
+        assert not (tmp_path / "m").exists()
+
 
 class TestExportCuts:
     def test_line_per_set(self, grid4_objects, tmp_path):

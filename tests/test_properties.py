@@ -1,7 +1,7 @@
 """Property tests: 4x4 optima under relabelling, Sudoku as one fewest-clue
 instance of the generic loop, the completion and deviation searches against
-their rescanning references, and minimal unavoidable sets under the board's
-symmetries."""
+their rescanning references, the deviation search against brute force, and
+minimal unavoidable sets under the board's symmetries."""
 import random
 from contextlib import closing
 from itertools import islice
@@ -26,8 +26,9 @@ from minclue import (
     generate_all,
     solve_mscp,
 )
-from minclue.engine import _solutions
+from minclue.engine import _DeviationSearch, _solutions, _Ticker
 from minclue.grid import _Geometry
+import oracle
 from reference_completions import reference_solutions
 from reference_deviation import reference_deviating_grid
 
@@ -147,6 +148,28 @@ def test_deviation_search_matches_rescanning_reference(grid4_objects, idx, m, no
     got = find_deviating_grid(constraint, stats=stats)
     assert got == reference_deviating_grid(constraint, ref_stats)
     assert stats.nodes == ref_stats.nodes
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(grid_index, st.integers(min_value=1, max_value=16), nogood_family)
+def test_deviation_search_yields_exactly_the_grids_at_distance_m(
+    grids4, grid4_objects, idx, m, nogoods
+):
+    grid = grid4_objects[idx]
+    search = _DeviationSearch(grid, _Ticker(None))
+    masks = []
+    for group in nogoods:
+        indices = [grid.size.index(cell) for cell in group]
+        search.add_nogood(indices)
+        masks.append(sum(1 << i for i in indices))
+    got = list(search.grids(m))
+    want = set()
+    for board in grids4:
+        diff = oracle.diff_mask(grid.entries, board)
+        if diff.bit_count() == m and not any(mask & diff == mask for mask in masks):
+            want.add(board)
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 @st.composite

@@ -8,6 +8,7 @@ from minclue import (
     CluePattern,
     ConstraintViolationError,
     FcpInstance,
+    FingerprintMismatchError,
     GenerationLimits,
     GridError,
     HittingInstance,
@@ -155,9 +156,14 @@ class TestSolveMscp4x4:
         with pytest.raises(GridError, match="out of bounds"):
             solve_mscp(grid, MscpConfig(seed_collection=coll))
 
-    def test_seed_collection_wrong_grid(self, grid4_objects):
-        from minclue import FingerprintMismatchError
+    def test_seed_collection_of_another_board_side(self, figure_grid):
+        coll = UnavoidableCollection(grid_fingerprint(figure_grid), 16)
+        coll.add(SetRecord(UnavoidableSet(GREEN), 0.0))
+        cfg = MscpConfig(seed_collection=coll, solve_budget=SearchBudget(max_nodes=1000))
+        with pytest.raises(FingerprintMismatchError, match="side 16"):
+            solve_mscp(figure_grid, cfg)
 
+    def test_seed_collection_wrong_grid(self, grid4_objects):
         coll = generate_all(grid4_objects[11], GenerationLimits(max_sets=5))
         with pytest.raises(FingerprintMismatchError):
             solve_mscp(
@@ -231,9 +237,12 @@ class TestBudgetedSolve:
         assert lowers == sorted(lowers)
 
     def test_seeding_leaves_half_the_time_budget_to_the_loop(self, figure_grid):
-        # default seeding alone would use the whole 2 s and leave upper 81
+        # default seeding alone would use the whole 0.5 s and leave upper 81.
+        # Its half stores 23 to 32 sets on a 2-vCPU Xeon; a half that stores
+        # 49 or more (1 s there) gives the loop a first exact hitting set it
+        # cannot prove in the other half
         result = solve_mscp(
-            figure_grid, MscpConfig(solve_budget=SearchBudget(max_time=2.0))
+            figure_grid, MscpConfig(solve_budget=SearchBudget(max_time=0.5))
         )
         assert result.status is MscpStatus.BOUNDS_ONLY
         assert result.lower_bound <= 17 <= result.upper_bound < 81
@@ -241,17 +250,17 @@ class TestBudgetedSolve:
         assert result.best_pattern.cardinality() == result.upper_bound
 
     def test_generator_spending_the_budget_keeps_seed_lower_bound(self, figure_grid):
-        # the first four size-4 sets cost 8100, 8227, 8285 and 8404 generator
-        # nodes, so seeding's half of 16,700 nodes ends after three of them;
+        # the first four size-4 sets cost 2826, 2918, 2970 and 3043 generator
+        # nodes, so seeding's half of 6,000 nodes ends after three of them;
         # the loop starts from their packing bound
         limits = GenerationLimits(max_sets=4, max_size=4)
         cfg = MscpConfig(
             initial_cuts=4,
             max_cut_size=4,
-            solve_budget=SearchBudget(max_nodes=16_700),
+            solve_budget=SearchBudget(max_nodes=6_000),
         )
         result = solve_mscp(figure_grid, cfg)
-        seeded = generate_all(figure_grid, limits, budget=SearchBudget(max_nodes=8_350))
+        seeded = generate_all(figure_grid, limits, budget=SearchBudget(max_nodes=3_000))
         assert len(seeded) == 3 and not seeded.complete
         assert [r.cells for r in result.certificate.records[:3]] == [
             r.cells for r in seeded.records

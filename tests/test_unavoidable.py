@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import generator_throughput
 from conftest import BLUE, GREEN, RED
 from reference_deviation import diff_cells, reference_generate
 from minclue import (
@@ -156,12 +157,27 @@ class TestGenerateAll:
 
     def test_figure_node_gate(self, figure_grid):
         # restarting the search after every set took 651,285 nodes here
-        limits = GenerationLimits(max_sets=24)
+        limits = generator_throughput.LIMITS
         stats, ref_stats = SearchStats(), SearchStats()
         coll = generate_all(figure_grid, limits, stats=stats)
-        assert len(coll) == 24
+        assert generator_throughput.outcome(coll, stats) == generator_throughput.PIN
         assert (emitted(coll), False) == reference_generate(figure_grid, limits, ref_stats)
-        assert stats.nodes == ref_stats.nodes == 162_492
+        assert stats.nodes == ref_stats.nodes
+
+    def test_sets_and_order_match_the_pin(self, figure_grid, grid4_objects):
+        # pruning may only cut nodes: the digest was taken before the search
+        # tracked forced cells, and the sets and their order must not move
+        stats = SearchStats()
+        colls = [generate_all(figure_grid, GenerationLimits(max_sets=45), stats=stats)]
+        assert stats.nodes == 135_996
+        total = 0
+        for grid in grid4_objects:
+            colls.append(generate_all(grid, GenerationLimits(), stats=stats))
+            total += stats.nodes
+        assert total == 571_680
+        assert generator_throughput.digest(colls) == (
+            "12ed0eb94a7850fa89c226a31869d3a532e76ce78d04646cebb8aec449bc63c3"
+        )
 
     def test_no_superset_emissions(self, grid4_objects):
         coll = generate_all(grid4_objects[200], GenerationLimits(max_sets=5000))
@@ -191,16 +207,16 @@ class TestGenerateAll:
         assert not coll.complete
 
     def test_node_limit_marks_incomplete(self, figure_grid):
-        # the first size-4 set costs 8100 nodes
+        # the first size-4 set costs 2826 nodes
         stats = SearchStats()
         coll = generate_all(
             figure_grid,
             GenerationLimits(max_sets=5000),
             stats=stats,
-            budget=SearchBudget(max_nodes=8_000),
+            budget=SearchBudget(max_nodes=2_800),
         )
         assert not coll.complete and len(coll) == 0
-        assert stats.nodes == 8_001
+        assert stats.nodes == 2_801
 
 
 class TestProposition1Sampled:
@@ -255,6 +271,14 @@ class TestCollectionIO:
         save_collection(coll, path)
         with pytest.raises(FingerprintMismatchError):
             load_collection(path, grid4_objects[10])
+
+    def test_board_side_mismatch(self, figure_grid, tmp_path):
+        coll = UnavoidableCollection(grid_fingerprint(figure_grid), 16)
+        coll.add(SetRecord(UnavoidableSet(GREEN), 0.0))
+        path = tmp_path / "sets.unav"
+        save_collection(coll, path)
+        with pytest.raises(FingerprintMismatchError, match="side 16"):
+            load_collection(path, figure_grid)
 
     def test_antichain_violation_detected(self, grid4_objects, oracle_minimal_sets, tmp_path):
         grid = grid4_objects[0]
