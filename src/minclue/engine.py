@@ -425,9 +425,9 @@ class _DeviationSearch:
                 self.pos[slot][v] = i
         self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
         # what a node branching on cell i reads: its peers, its slots, its
-        # target digit and bit, its cell bit and its nogoods
+        # target digit and bit, and its cell bit
         self.branch_of = [
-            (geo.peers[i], geo.slots[i], v, 1 << (v - 1), 1 << i, self.nogoods_of[i])
+            (geo.peers[i], geo.slots[i], v, 1 << (v - 1), 1 << i)
             for i, v in enumerate(self.target)
         ]
 
@@ -479,7 +479,7 @@ class _DeviationSearch:
             # than m deviations
             return
         best = counts.index(low)
-        peers, cell_slots, gv, gbit, cell_bit, nogoods = self.branch_of[best]
+        peers, cell_slots, gv, gbit, cell_bit = self.branch_of[best]
         r, c, b = cell_slots
         off_target = self.off_target
         t_used = self.t_used
@@ -530,13 +530,10 @@ class _DeviationSearch:
                     # a nogood dies once all its cells deviate or are forced
                     # to; it must hold the placed cell or a newly forced one
                     doomed = dev | fc
-                    for mask in nogoods:
-                        if mask & doomed == mask:
-                            descend = False
-                            break
-                    while newly and descend:
-                        low_bit = newly & -newly
-                        newly ^= low_bit
+                    check = cell_bit | newly
+                    while check and descend:
+                        low_bit = check & -check
+                        check ^= low_bit
                         for mask in nogoods_of[low_bit.bit_length() - 1]:
                             if mask & doomed == mask:
                                 descend = False

@@ -48,15 +48,20 @@ class HittingSolution:
     lower_bound: int
 
 
-def disjoint_packing_bound(instance: HittingInstance) -> int:
-    """Greedy count of pairwise-disjoint family members: a lower bound."""
+def _disjoint(family: Iterable[frozenset]) -> list[frozenset]:
+    """The members a greedy pass in order keeps pairwise disjoint."""
     taken: set = set()
-    count = 0
-    for member in instance.family:
+    kept = []
+    for member in family:
         if not member & taken:
             taken |= member
-            count += 1
-    return count
+            kept.append(member)
+    return kept
+
+
+def disjoint_packing_bound(instance: HittingInstance) -> int:
+    """Greedy count of pairwise-disjoint family members: a lower bound."""
+    return len(_disjoint(instance.family))
 
 
 def _pack(masks: Sequence[int], chosen: int) -> int:

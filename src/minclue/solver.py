@@ -39,7 +39,7 @@ from .engine import (
     find_alternate,
 )
 from .grid import CluePattern, Grid, _Geometry, _check_entries, apply_pattern
-from .hitting import HittingInstance, disjoint_packing_bound, min_hitting_set
+from .hitting import HittingInstance, _disjoint, min_hitting_set
 from .unavoidable import (
     GenerationLimits,
     NotUnavoidableError,
@@ -206,46 +206,67 @@ def _ihs_loop(
 ) -> FcpResult:
     """Implicit hitting-set loop over the indices 0..len(target)-1.
 
-    `seeds` are index sets known to be unavoidable. Trace times count from
-    the start of `budget`; iteration i is always `trace[i - 1]`,
-    and a cut the loop adds in iteration i is `certificate[len(seeds) + i - 1]`.
+    `seeds` are index sets known to be unavoidable. The hitting sets are
+    solved over a family that starts as a disjoint packing of the seeds and
+    takes in seeds only as candidates miss them, so a long seed list costs
+    only what its optimum needs; each iteration still hands the oracle the
+    first minimum hitting set of all cuts in search order. Trace times count
+    from the start of `budget`; iteration i is always `trace[i - 1]`, and a
+    cut the loop adds in iteration i is `certificate[len(seeds) + i - 1]`.
     """
     universe = frozenset(range(len(target)))
     find_diff = partial(_alternate_diff, target, alternate, budget)
     cuts: list[frozenset] = list(seeds)
+    # a disjoint packing of the seeds, then a disjoint packing of the seeds
+    # each candidate misses, and every loop cut
+    family = _disjoint(cuts)
     incumbent = universe
     upper = len(incumbent)
     # sound before any exact solve, so a loop stopped early still reports it
-    lower = disjoint_packing_bound(HittingInstance.build(universe, cuts))
+    lower = len(family)
     trace: list[TraceEntry] = []
     iteration = 0
     last_repair_lower = -1
+    status = MscpStatus.INTERRUPTED  # until the first exact hitting set
 
     def note(it: int) -> None:
         trace.append(
             TraceEntry(it, lower, upper, len(cuts), perf_counter() - budget.started)
         )
 
-    def repair(cells: set, diff: Optional[frozenset]) -> frozenset:
-        # each diff avoids the revealed indices, so this ends by the full reveal
+    def solve(members: list[frozenset], upper_hint: int, lower_hint: int):
+        return budget.spend(
+            lambda share, stats: min_hitting_set(
+                HittingInstance.build(universe, members),
+                upper_hint=upper_hint,
+                budget=share,
+                stats=stats,
+                lower_hint=lower_hint,
+            )
+        )
+
+    def repair(candidate: frozenset, diff: frozenset) -> None:
+        # once per lower bound: reveal a cell of each diff until unique; each
+        # diff avoids the revealed indices, so this ends by the full reveal
+        nonlocal incumbent, upper, last_repair_lower
+        if lower + 1 >= upper or lower <= last_repair_lower:
+            return
+        last_repair_lower = lower
+        cells = set(candidate)
         while diff is not None:
             cells.add(min(diff))
             diff = find_diff(frozenset(cells))
-        return frozenset(cells)
+        if len(cells) < upper:
+            incumbent = frozenset(cells)
+            upper = len(cells)
 
-    status = MscpStatus.INTERRUPTED  # until the first exact hitting set
-    try:
+    def hitting_set() -> frozenset:
+        """The first minimum hitting set of `cuts` in search order, found
+        over `family`: each optimum over it is a lower bound, and a candidate
+        that misses seeds is repaired and adds a packing of them."""
+        nonlocal lower, status
         while True:
-            iteration += 1
-            solution = budget.spend(
-                lambda share, stats: min_hitting_set(
-                    HittingInstance.build(universe, cuts),
-                    upper_hint=upper,
-                    budget=share,
-                    stats=stats,
-                    lower_hint=lower,
-                )
-            )
+            solution = solve(family, upper, lower)
             if not solution.proven_optimal:
                 lower = max(lower, solution.lower_bound)
                 raise SearchInterrupted("hitting set", budget.nodes)
@@ -255,6 +276,21 @@ def _ihs_loop(
                     "hitting-set optimum decreased as the family grew"
                 )
             lower = solution.value
+            missed = [cut for cut in cuts if not cut & solution.cells]
+            if not missed:
+                break
+            family.extend(_disjoint(missed))
+            # a missed seed holds the diff of an alternate the candidate allows
+            repair(solution.cells, missed[0])
+        if family != cuts:
+            # with the optimum known this search only finds its first witness
+            solution = solve(cuts, lower, lower)
+        return solution.cells
+
+    try:
+        while True:
+            iteration += 1
+            candidate = hitting_set()
             log.debug(
                 "iteration %d: lower=%d upper=%d cuts=%d",
                 iteration,
@@ -264,7 +300,6 @@ def _ihs_loop(
             )
             if lower >= upper:
                 break
-            candidate = frozenset(solution.cells)
             diff = find_diff(candidate)
             if diff is None:
                 incumbent = candidate
@@ -275,17 +310,13 @@ def _ihs_loop(
                 if existing <= cut or cut <= existing:
                     raise MscpInternalError("cut already implied by the certificate")
             cuts.append(cut)
-            if lower + 1 < upper and lower > last_repair_lower:
-                last_repair_lower = lower
-                repaired = repair(set(candidate), diff)
-                if len(repaired) < upper:
-                    incumbent = repaired
-                    upper = len(repaired)
+            family.append(cut)
+            repair(candidate, diff)
             note(iteration)
         status = MscpStatus.OPTIMAL
     except SearchInterrupted:
         # cuts added since the last exact solve still bound the optimum
-        lower = max(lower, disjoint_packing_bound(HittingInstance.build(universe, cuts)))
+        lower = max(lower, len(_disjoint(cuts)))
     note(iteration)
 
     return FcpResult(
@@ -322,15 +353,11 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
             for rec in seeded.records:
                 certificate.add(rec)
         elif cfg.initial_cuts > 0:
+            cfg.seed_collection.check_grid(g)
             cap = cfg.max_cut_size or len(cells)
             fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
-            fits = fits[: cfg.initial_cuts]
-            # GridError for a cell off g's board, then FingerprintMismatchError
-            # for a collection of another grid or board side
-            chosen = [{index(c) for c in rec.cells} for rec in fits]
-            cfg.seed_collection.check_grid(g)
-            for rec, seed in zip(fits, chosen):
-                outside = frozenset(range(len(cells))) - seed
+            for rec in fits[: cfg.initial_cuts]:
+                outside = frozenset(range(len(cells))) - {index(c) for c in rec.cells}
                 if _alternate_diff(g.entries, alternate, budget, outside) is None:
                     raise NotUnavoidableError(f"seed set {rec.cells} is not unavoidable")
                 certificate.add(rec)

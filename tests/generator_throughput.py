@@ -40,8 +40,8 @@ def digest(collections: list[UnavoidableCollection]) -> str:
     emission order, and its `complete` flag."""
     h = hashlib.sha256()
     for coll in collections:
-        n = coll.n
-        sets = [[(c.row - 1) * n + c.col - 1 for c in s] for s in coll.sets]
+        index = GridSize.of_side(coll.n).index
+        sets = [[index(c) for c in s] for s in coll.sets]
         h.update(repr((sets, coll.complete)).encode())
     return h.hexdigest()
 

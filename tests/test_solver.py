@@ -10,7 +10,6 @@ from minclue import (
     FcpInstance,
     FingerprintMismatchError,
     GenerationLimits,
-    GridError,
     HittingInstance,
     IllegalCharacterError,
     LengthMismatchError,
@@ -28,6 +27,7 @@ from minclue import (
     is_unavoidable,
     latin_square_fcp_instance,
     load_collection,
+    min_hitting_set,
     minimalize,
     save_collection,
     solve_mscp,
@@ -80,6 +80,20 @@ class TestSolveMscp4x4:
         seeded = solve_mscp(grid4_objects[idx], MscpConfig(initial_cuts=1000))
         assert bare.upper_bound == seeded.upper_bound
         assert bare.status is seeded.status is MscpStatus.OPTIMAL
+
+    def test_seeded_pattern_is_the_first_minimum_hitting_set(self, grid4_objects):
+        # the loop takes seeds into its family only as candidates miss them,
+        # yet the pattern it returns is the one a solve over every seed finds
+        for grid in grid4_objects[::2]:
+            result = solve_mscp(grid, MscpConfig())
+            assert result.iterations == 1
+            seeds = [
+                frozenset(grid.size.index(c) for c in s) for s in result.certificate.sets
+            ]
+            first = min_hitting_set(HittingInstance.build(range(16), seeds))
+            assert result.best_pattern.cells() == [
+                grid.size.all_cells()[i] for i in sorted(first.cells)
+            ]
 
     def test_trace_is_monotone(self, grid4_objects):
         result = solve_mscp(grid4_objects[31], MscpConfig(initial_cuts=0))
@@ -149,11 +163,11 @@ class TestSolveMscp4x4:
 
     def test_seed_cell_off_the_board(self, grid4_objects):
         # a collection stating a larger board can hold the cell; the solve
-        # rejects it with a GridError, not a KeyError
+        # rejects it as a collection of another board side, not a KeyError
         grid = grid4_objects[0]
         coll = UnavoidableCollection(grid_fingerprint(grid), 9)
         coll.add(SetRecord(UnavoidableSet([Cell(1, 1), Cell(1, 5)]), 0.0))
-        with pytest.raises(GridError, match="out of bounds"):
+        with pytest.raises(FingerprintMismatchError, match="side 9"):
             solve_mscp(grid, MscpConfig(seed_collection=coll))
 
     def test_seed_collection_of_another_board_side(self, figure_grid):
@@ -237,15 +251,25 @@ class TestBudgetedSolve:
         assert lowers == sorted(lowers)
 
     def test_seeding_leaves_half_the_time_budget_to_the_loop(self, figure_grid):
-        # default seeding alone would use the whole 0.5 s and leave upper 81.
-        # Its half stores 23 to 32 sets on a 2-vCPU Xeon; a half that stores
-        # 49 or more (1 s there) gives the loop a first exact hitting set it
-        # cannot prove in the other half
+        # default seeding alone would use the whole 2 s and leave upper 81
         result = solve_mscp(
-            figure_grid, MscpConfig(solve_budget=SearchBudget(max_time=0.5))
+            figure_grid, MscpConfig(solve_budget=SearchBudget(max_time=2.0))
         )
         assert result.status is MscpStatus.BOUNDS_ONLY
         assert result.lower_bound <= 17 <= result.upper_bound < 81
+        assert verify_validity(figure_grid, result.best_pattern)
+        assert result.best_pattern.cardinality() == result.upper_bound
+
+    def test_many_seeds_still_give_the_loop_bounds(self, figure_grid):
+        # seeding's half of the nodes stores 49 sets, whose minimum hitting
+        # set the branch and bound cannot prove in the other half; solved
+        # over the seeds its candidates miss, the family proves lower 12
+        result = solve_mscp(
+            figure_grid, MscpConfig(solve_budget=SearchBudget(max_nodes=400_000))
+        )
+        assert len(result.certificate) >= 49
+        assert result.status is MscpStatus.BOUNDS_ONLY
+        assert 12 <= result.lower_bound <= 17 <= result.upper_bound < 81
         assert verify_validity(figure_grid, result.best_pattern)
         assert result.best_pattern.cardinality() == result.upper_bound
 
