@@ -13,13 +13,16 @@ reporting their nodes. Budgets are enforced as exact node counts
 (optionally wall-clock time) and surface as SearchInterrupted, never as a
 wrong answer.
 
-Both searches read the unit table `grid._Geometry`. One list `used` holds a
-digit mask per slot (row r, column n + c, box 2n + b); a cell's candidates
-are the digits missing from its three slots, and propagation scans the
-slots in `units`. Latin squares use the box-free table, whose box slots
-mirror the rows and are not scanned. Both searches keep those candidates
+Both searches read the unit table `grid._Geometry`: slot r is row r,
+slot n + c column c and slot 2n + b box b. A cell's candidates are the
+digits missing from its three slots. Both searches keep those candidates
 in a table, one digit mask per cell, that a placement updates at the
-placed cell's peers only, so no node recomputes them from the slot masks.
+placed cell's peers only, so no node recomputes them. The completion
+search also keeps one list `used`, a digit mask per slot, so that
+propagation can scan the slots in `units` for the digits each still
+needs. Latin squares use the box-free table, whose box slots mirror the
+rows and are not scanned. The deviation search keeps no slot masks: it
+looks up, through `pos`, whether a digit's target cell is still open.
 """
 from __future__ import annotations
 
@@ -355,6 +358,8 @@ class DeviationConstraint:
             raise GridError("exact_deviations must be at least 1")
         normalized = tuple(frozenset(group) for group in self.nogoods)
         for group in normalized:
+            if not group:
+                raise GridError("a nogood must hold at least one cell")
             for cell in group:
                 self.target.size.index(cell)
         object.__setattr__(self, "nogoods", normalized)
@@ -387,29 +392,31 @@ class _DeviationSearch:
     first with the fewest candidates) with `min(counts)` and
     `counts.index`, without a scan of the open cells.
 
-    Pruning: a digit whose target cell was overwritten must reappear in the
-    same row/column/box at some other (necessarily deviating) cell, so the
-    deviation count so far plus the per-unit-family displaced-digit total is
-    a lower bound on the final distance; branches where the exact target
-    becomes unreachable or exceeded are cut. A nogood is violated exactly
-    when its cell mask is a subset of the mask of deviating cells.
-
     Forced cells: an open cell whose target digit already sits in one of
     its units deviates in every completion. The frame's mask `forced` of
     such cells is kept without a scan: placing digit v off target forces
     the open cells whose target is v in the placed cell's row, column and
     box (`pos`), and the placed cell leaves the mask; an on-target
     placement forces nothing, as the placed cell is the only cell of its
-    units with that target digit. Two cuts on an off-target child follow,
-    both exact because every forced cell will deviate. The count rule cuts
-    when its deviations plus its forced cells exceed m, a fourth term of
-    the displaced-digit bound. The nogood rule cuts when every cell of a
-    nogood deviates or is forced; only the placed cell and the newly forced
-    cells join that union, so only their nogoods are read. A nogood added in
-    place that is already dead in an open frame is caught, as before, when
-    one of its cells is next put off target. Neither rule cuts a grid at
-    distance m that honours the nogoods, so the grids and their order are
-    those of the search without them; only the node count falls.
+    units with that target digit.
+
+    Pruning: a node is cut when a cell has no candidate or too few open
+    cells can still deviate to reach m. An off-target child is cut when its
+    deviations plus its forced cells exceed m, the one count bound. A unit
+    holds each digit once, so its assigned cells carry as many target
+    digits as placed ones: the target digits displaced from them are as
+    many as the placed digits that are no assigned cell's target, which are
+    the targets of the open cells forced through that unit. So a unit
+    family's displaced-digit total counts the cells forced through that
+    family, and the forced mask, their union, is at least as large. A
+    child at distance m was entered with no room, so nothing is forced and
+    every open cell keeps its target digit. The nogood rule cuts when every
+    cell of a nogood deviates or is forced; only the placed cell and the
+    newly forced cells join that union, so only their nogoods are read. A
+    nogood added in place that is already dead in an open frame is caught
+    when one of its cells is next put off target. Every cut is exact
+    because every forced cell will deviate: none cuts a grid at distance m
+    that honours the nogoods.
     """
 
     def __init__(self, grid: Grid, ticker: _Ticker):
@@ -425,10 +432,9 @@ class _DeviationSearch:
                 self.pos[slot][v] = i
         self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
         # what a node branching on cell i reads: its peers, its slots, its
-        # target digit and bit, and its cell bit
+        # target digit and its cell bit
         self.branch_of = [
-            (geo.peers[i], geo.slots[i], v, 1 << (v - 1), 1 << i)
-            for i, v in enumerate(self.target)
+            (geo.peers[i], geo.slots[i], v, 1 << i) for i, v in enumerate(self.target)
         ]
 
     def add_nogood(self, indices: Sequence[int]) -> None:
@@ -443,35 +449,28 @@ class _DeviationSearch:
         geo = self.geo
         self.m = m
         self.values = [0] * geo.cells
-        self.used = [0] * len(geo.members)
-        # target digits of the assigned cells per slot: the open cells can
-        # all keep their target digits iff these equal the placed digits
-        self.t_used = [0] * len(geo.members)
         cands, counts = [geo.full] * geo.cells, [geo.n] * geo.cells
-        return self._search(0, 0, 0, 0, 0, cands, counts, geo.cells)
+        return self._search(0, 0, cands, counts, geo.cells)
 
     def _search(
         self,
         deviating: int,
         forced: int,
-        row_total: int,
-        col_total: int,
-        box_total: int,
         cands: list[int],
         counts: list[int],
         deviatable: int,
     ) -> Iterator[tuple[int, ...]]:
         """Grids below the current assignment; `deviating` is the mask of
         deviating cells, `forced` the mask of open cells that can no longer
-        take their target digit, the totals are the displaced-digit counts,
-        and `cands`, `counts` and `deviatable` are this frame's table."""
+        take their target digit, and `cands`, `counts` and `deviatable` are
+        this frame's table."""
         m = self.m
         deviations = deviating.bit_count()
         values = self.values
-        used = self.used
         if deviations == m:
-            if used == self.t_used:
-                yield tuple(v or t for v, t in zip(values, self.target))
+            # entered with no room, so nothing is forced: every open cell
+            # keeps its target digit
+            yield tuple(v or t for v, t in zip(values, self.target))
             return
         low = min(counts)
         if not low or deviations + deviatable < m:
@@ -479,18 +478,14 @@ class _DeviationSearch:
             # than m deviations
             return
         best = counts.index(low)
-        peers, cell_slots, gv, gbit, cell_bit = self.branch_of[best]
-        r, c, b = cell_slots
+        peers, (r, c, b), gv, cell_bit = self.branch_of[best]
         off_target = self.off_target
-        t_used = self.t_used
         # the cells of the branch cell's units by target digit
         pos_r, pos_c, pos_b = self.pos[r], self.pos[c], self.pos[b]
         nogoods_of = self.nogoods_of
         room = m - deviations - 1
         tick = self.ticker.tick
         assigned = self.geo.n + 1
-        for slot in cell_slots:
-            t_used[slot] |= gbit
         cand = cands[best]
         # the children's count before their peers lose the placed digit
         child_deviatable = deviatable - (cand & off_target[best] != 0)
@@ -502,30 +497,21 @@ class _DeviationSearch:
             value = bit.bit_length()
             tick()
             values[best] = value
-            for slot in cell_slots:
-                used[slot] |= bit
             if value == gv:
                 descend = True
-                dev, fc, rt, ct, bt = deviating, forced, row_total, col_total, box_total
+                dev, fc = deviating, forced
             else:
                 dev = deviating | cell_bit
                 # the open cells of the units whose target digit is `value`
                 # can no longer take it
                 pr, pc, pb = pos_r[value], pos_c[value], pos_b[value]
-                placed_r, placed_c, placed_b = values[pr], values[pc], values[pb]
                 newly = (
-                    (0 if placed_r else 1 << pr)
-                    | (0 if placed_c else 1 << pc)
-                    | (0 if placed_b else 1 << pb)
+                    (0 if values[pr] else 1 << pr)
+                    | (0 if values[pc] else 1 << pc)
+                    | (0 if values[pb] else 1 << pb)
                 ) & ~forced
                 fc = left_forced | newly
-                # +1: the overwritten target digit is not yet elsewhere in
-                # the unit; -1: `value` was displaced from its own target
-                # cell in the unit and is now placed
-                rt = row_total + (not used[r] & gbit) - (placed_r != 0)
-                ct = col_total + (not used[c] & gbit) - (placed_c != 0)
-                bt = box_total + (not used[b] & gbit) - (placed_b != 0)
-                descend = max(rt, ct, bt, fc.bit_count()) <= room
+                descend = fc.bit_count() <= room
                 if descend:
                     # a nogood dies once all its cells deviate or are forced
                     # to; it must hold the placed cell or a newly forced one
@@ -550,14 +536,8 @@ class _DeviationSearch:
                         if had & off_target[p] == bit:
                             # `bit` was the peer's last non-target digit
                             left_deviatable -= 1
-                yield from self._search(
-                    dev, fc, rt, ct, bt, child_cands, child_counts, left_deviatable
-                )
+                yield from self._search(dev, fc, child_cands, child_counts, left_deviatable)
             values[best] = 0
-            for slot in cell_slots:
-                used[slot] ^= bit
-        for slot in cell_slots:
-            t_used[slot] ^= gbit
 
 
 def find_deviating_grid(

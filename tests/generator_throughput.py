@@ -1,16 +1,18 @@
-"""The figure grid's first 24 minimal unavoidable sets, pinned, and the
-generator's throughput on them.
+"""The figure grid's minimal unavoidable sets, pinned, and the generator's
+throughput on them.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python tests/generator_throughput.py
 
-It runs `generate_all` on the 9x9 figure grid up to its first K = 24 sets
-(sizes 4, 6 and 8), prints the sets, the search nodes, sets/s and nodes/s
-as a Markdown list, and exits 1 when the digest of the sets or the node
-count differs from `PIN`. The generator is deterministic, so a change to
-the deviation search that moves one set, its order or one node shows here;
-`tests/test_unavoidable.py` checks the same pin against the rescanning
+It runs `generate_all` on the 9x9 figure grid twice: up to its first K = 24
+sets (sizes 4, 6 and 8), and to every set of size at most 10, the
+size-capped seed of a 9x9 solve. For each run it prints the sets, the
+search nodes, sets/s and nodes/s as a Markdown list, and it exits 1 when
+the digest of the sets or the node count of either run differs from its
+pin. The generator is deterministic, so a change to the deviation search
+that moves one set, its order or one node shows here;
+`tests/test_unavoidable.py` checks the first pin against the rescanning
 reference.
 """
 from __future__ import annotations
@@ -34,6 +36,9 @@ LIMITS = GenerationLimits(max_sets=24)
 # sets, search nodes, and the digest of the sets in order with `complete`
 PIN = (24, 41_843, "511f0616d73070b2")
 
+SIZE_CAPPED = GenerationLimits(max_sets=10**6, max_size=10)
+SIZE_CAPPED_PIN = (110, 418_879, "d3ca2204b11a4e8f")
+
 
 def digest(collections: list[UnavoidableCollection]) -> str:
     """sha256 over each collection's sets, as row-major cell indices in
@@ -53,17 +58,23 @@ def outcome(collection: UnavoidableCollection, stats: SearchStats) -> tuple:
 
 def main() -> int:
     grid = parse_grid(FIG_GRID_TEXT, GridSize.of_side(9))
-    stats = SearchStats()
-    started = perf_counter()
-    collection = generate_all(grid, LIMITS, stats=stats)
-    seconds = perf_counter() - started
-    got = outcome(collection, stats)
-    print(f"- figure grid, first 24 sets: {got}" + ("" if got == PIN else f", pinned {PIN}"))
-    print(
-        f"- generator: {len(collection)} sets and {stats.nodes} nodes in {seconds:.3f} s, "
-        f"{len(collection) / seconds:.1f} sets/s, {stats.nodes / seconds:.0f} nodes/s"
-    )
-    return 0 if got == PIN else 1
+    failed = False
+    for label, limits, pin in (
+        ("first 24 sets", LIMITS, PIN),
+        ("every set of size at most 10", SIZE_CAPPED, SIZE_CAPPED_PIN),
+    ):
+        stats = SearchStats()
+        started = perf_counter()
+        collection = generate_all(grid, limits, stats=stats)
+        seconds = perf_counter() - started
+        got = outcome(collection, stats)
+        failed |= got != pin
+        print(f"- figure grid, {label}: {got}" + ("" if got == pin else f", pinned {pin}"))
+        print(
+            f"- generator: {len(collection)} sets and {stats.nodes} nodes in {seconds:.3f} s, "
+            f"{len(collection) / seconds:.1f} sets/s, {stats.nodes / seconds:.0f} nodes/s"
+        )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ an incremental candidate table and forced mask. A forced cell is an open
 cell whose candidates lack its target digit. Branch order, tick placement,
 pruning and tie-breaking are the same, so both must emit the same grids in
 the same order with the same node counts.
+
+The reference also keeps the per-family displaced-digit totals and the
+target digits of the assigned cells per slot (`t_used`), which the library
+does without, and asserts at every node the identity that makes them
+redundant: each family's total is the number of open cells whose target
+digit is already placed in their slot of that family, and at distance m
+the placed digits of every slot are the target digits of its assigned
+cells.
 """
 from __future__ import annotations
 
@@ -79,13 +87,27 @@ class RescanningSearch:
                     forced |= 1 << i
         return forced
 
+    def _forced_per_family(self) -> list[int]:
+        """Per family (rows, columns, boxes), the open cells whose target
+        digit is already placed in their slot of that family."""
+        state = self.state
+        values, used = state.values, state.used
+        totals = [0, 0, 0]
+        for i in state.empties:
+            if not values[i]:
+                for family, slot in enumerate(self.geo.slots[i]):
+                    totals[family] += used[slot] >> (self.target[i] - 1) & 1
+        return totals
+
     def _search(self, deviating, row_total, col_total, box_total):
         m = self.m
         deviations = deviating.bit_count()
         state = self.state
         values = state.values
         used = state.used
+        assert self._forced_per_family() == [row_total, col_total, box_total]
         if deviations == m:
+            assert used == self.t_used
             if used == self.t_used:
                 yield tuple(v or t for v, t in zip(values, self.target))
             return

@@ -12,6 +12,7 @@ from minclue import (
     CluePattern,
     DeviationConstraint,
     Grid,
+    GridError,
     GridSize,
     Puzzle,
     SearchBudget,
@@ -197,6 +198,11 @@ class TestFindDeviatingGrid:
     def test_m_must_be_positive(self, figure_grid):
         with pytest.raises(Exception):
             DeviationConstraint(figure_grid, 0)
+
+    def test_empty_nogood_rejected(self, grid4_objects):
+        # no grid keeps a cell of an empty set at its target
+        with pytest.raises(GridError, match="at least one cell"):
+            DeviationConstraint(grid4_objects[0], 4, (frozenset({Cell(1, 1)}), frozenset()))
 
     def test_determinism(self, figure_grid):
         a, b = [], []
