@@ -19,8 +19,8 @@ with one instance uses every path as given.
 
 Flag ranges (anything else is a usage error, exit 2): --max-sets, --max-size,
 --max-cut-size and --jobs at least 1; --seed-cuts and --max-time at least 0;
---budget comma-separated ``<seconds>[s]`` and ``<nodes>n`` parts, none
-negative.
+--budget comma-separated ``<seconds>[s]`` and ``<nodes>n`` parts, at most
+one of each, none negative.
 """
 from __future__ import annotations
 
@@ -81,22 +81,23 @@ def bucket_table(times: list[float]) -> list[tuple[str, int]]:
 
 
 def parse_budget(text: Optional[str]) -> SearchBudget:
-    """'60', '60s', '500000n', or '60s,500000n'; ValueError if malformed or negative."""
+    """'60', '60s', '500000n', or '60s,500000n'; ValueError if malformed,
+    negative, or a second time or node part."""
     if not text:
         return SearchBudget()
-    max_time = None
-    max_nodes = None
+    limits: dict = {}
     for part in text.split(","):
         part = part.strip().lower()
         if not part:
             continue
-        if part.endswith("n"):
-            max_nodes = value = int(part[:-1])
-        else:
-            max_time = value = float(part.removesuffix("s"))
+        kind = "max_nodes" if part.endswith("n") else "max_time"
+        value = int(part[:-1]) if kind == "max_nodes" else float(part.removesuffix("s"))
         if not value >= 0:
             raise ValueError(f"budget part {part!r} is not a non-negative number")
-    return SearchBudget(max_nodes=max_nodes, max_time=max_time)
+        if kind in limits:
+            raise ValueError(f"budget part {part!r} repeats a {kind} limit")
+        limits[kind] = value
+    return SearchBudget(**limits)
 
 
 def _append_record(path: Optional[str], record: dict) -> None:

@@ -3,14 +3,22 @@
 Each node branches on the unhit family member with the fewest live cells
 (cells not banned at that node; the lowest index wins ties), trying those
 cells in canonical order; earlier siblings are banned in later branches so
-the tree partitions the solution space. The bound is a greedy packing of
-pairwise disjoint unhit sets. Once an incumbent exists, a node is cut as
-soon as its bound cannot beat it, so the search never revisits an
-incumbent's value: ties resolve to the first optimum in search order, which
-is deterministic but not the lexicographically smallest. Search stops early
-at the first solution whose value meets the root packing bound or the
-caller's `lower_hint`. Elements may be Cells or any other orderable
-hashables.
+the tree partitions the solution space. Every unhit member keeps a live
+cell at every node: a child bans only live cells of its parent's branching
+member S, so an unhit member M left with none had all its live cells in
+S's; M had at least as many as S, so it had exactly S's, the child's own
+cell among them, and is hit. A node with no unhit member is a leaf.
+
+The bound is a greedy packing of pairwise disjoint unhit sets. One cut
+rule holds throughout: a node is cut when its count plus its packing
+reaches `best_value`, which starts one above `upper_hint` (or above the
+number of cells) and then is the incumbent's value. So a solution of the
+hint's value stays reachable, and the search never revisits an
+incumbent's value: ties resolve to the first optimum in search order,
+which is deterministic but not the lexicographically smallest. Search
+stops early at the first solution whose value meets the root packing
+bound or the caller's `lower_hint`. Elements may be Cells or any other
+orderable hashables.
 """
 from __future__ import annotations
 
@@ -38,6 +46,13 @@ class HittingInstance:
             tuple(sorted(set(universe))),
             tuple(frozenset(member) for member in family),
         )
+
+    def __post_init__(self) -> None:
+        universe = set(self.universe)
+        for member in self.family:
+            if not universe.issuperset(member):
+                outside = sorted(set(member) - universe)
+                raise ValueError(f"family member has elements outside the universe: {outside}")
 
 
 @dataclass(frozen=True)
@@ -110,28 +125,19 @@ def min_hitting_set(
         return HittingSolution(frozenset(), 0, True, 0)
 
     elements = sorted(set().union(*family))
-    # root-only dominance: drop a cell whose set-membership list is within
-    # another cell's (the canonically smaller cell survives exact ties)
+    # root-only dominance: a cell whose membership list lies strictly within
+    # another list is dropped, and among cells with one list the first stays
     membership: dict = {e: 0 for e in elements}
     for k, member in enumerate(family):
         bit = 1 << k
         for e in member:
             membership[e] |= bit
-    kept = []
+    first: dict = {}
     for e in elements:
-        me = membership[e]
-        dominated = False
-        for f in elements:
-            if f is e:
-                continue
-            mf = membership[f]
-            if me & ~mf:
-                continue
-            if me != mf or f < e:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(e)
+        first.setdefault(membership[e], e)
+    kept = [
+        e for m, e in first.items() if not any(m != o and not m & ~o for o in first)
+    ]
 
     pos = {e: i for i, e in enumerate(kept)}
     masks = [
@@ -140,9 +146,7 @@ def min_hitting_set(
     pack_order = sorted(masks, key=lambda m: m.bit_count())
 
     best_mask: Optional[int] = None
-    # before an incumbent exists, a node is cut when its bound exceeds
-    # best_value; afterwards, when its bound merely reaches it
-    best_value = len(kept) + 1 if upper_hint is None else upper_hint
+    best_value = (len(kept) if upper_hint is None else upper_hint) + 1
     # any solution this small is optimal: stop at the first one found
     good_enough = max(lower_hint, _pack(pack_order, 0))
 
@@ -150,64 +154,46 @@ def min_hitting_set(
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
     interrupted = False
     while stack:
-        frame = stack.pop()
         try:
             ticker.tick()
         except SearchInterrupted:
-            stack.append(frame)  # keep its bound in the interrupt accounting
             interrupted = True
             break
-        chosen, count, banned = frame
+        chosen, count, banned = stack.pop()
         target_live = 0
-        fewest = -1
+        fewest = len(kept) + 1
         for mask in masks:
-            if mask & chosen:
-                continue
-            live = mask & ~banned
-            width = live.bit_count()
-            if fewest < 0 or width < fewest:
-                target_live, fewest = live, width
-                if not width:
-                    break
-        if fewest < 0:
-            if best_mask is None or count < best_value:
+            if not mask & chosen:
+                live = mask & ~banned
+                width = live.bit_count()
+                if width < fewest:
+                    target_live, fewest = live, width
+        if not target_live:  # every member is hit
+            if count < best_value:
                 best_mask, best_value = chosen, count
                 if count <= good_enough:
                     break
             continue
-        if not target_live:
+        if count + _pack(pack_order, chosen) >= best_value:
             continue
-        bound = count + _pack(pack_order, chosen)
-        if bound > best_value or (best_mask is not None and bound == best_value):
-            continue
-        children = []
-        taken_before = 0
-        live = target_live
-        while live:
-            bit = live & -live
-            live ^= bit
-            children.append((chosen | bit, count + 1, banned | taken_before))
-            taken_before |= bit
-        stack.extend(reversed(children))
+        # highest cell first, so the lowest is popped first; each child bans
+        # the live cells below its own
+        while target_live:
+            bit = 1 << (target_live.bit_length() - 1)
+            target_live ^= bit
+            stack.append((chosen | bit, count + 1, banned | target_live))
 
     ticker.record(stats)
-
-    if interrupted:
-        open_bounds = []
-        for chosen, count, _banned in stack:
-            open_bounds.append(count + _pack(pack_order, chosen))
-        candidates = open_bounds + ([best_value] if best_mask is not None else [])
-        lower = min(candidates) if candidates else 0
-        if best_mask is None:
-            # greedy fallback keeps the returned cells a genuine hitting set
-            best_mask = 0
-            for mask in masks:
-                if not mask & best_mask:
-                    best_mask |= mask & -mask
-        cells = frozenset(kept[i] for i in range(len(kept)) if best_mask >> i & 1)
-        return HittingSolution(cells, len(cells), False, min(lower, len(cells)))
-
     if best_mask is None:
-        raise ValueError("upper_hint was below the true optimum")
+        if not interrupted:
+            raise ValueError("upper_hint was below the true optimum")
+        # greedy fallback keeps the returned cells a genuine hitting set
+        best_mask = 0
+        for mask in masks:
+            if not mask & best_mask:
+                best_mask |= mask & -mask
     cells = frozenset(kept[i] for i in range(len(kept)) if best_mask >> i & 1)
+    if interrupted:
+        lower = min(count + _pack(pack_order, chosen) for chosen, count, _ in stack)
+        return HittingSolution(cells, len(cells), False, min(lower, len(cells)))
     return HittingSolution(cells, len(cells), True, len(cells))

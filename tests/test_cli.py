@@ -46,6 +46,12 @@ class TestVerify:
         assert main(["verify", g, str(tmp_path / "nope.txt")]) == 1
         assert capsys.readouterr().out.startswith("ERROR ")
 
+    def test_instance_counts_differ(self, tmp_path, capsys):
+        g = write(tmp_path / "g.txt", FIG_GRID_TEXT, FIG_GRID_TEXT)
+        p = write(tmp_path / "p.txt", FIG_PUZZLE_TEXT)
+        assert main(["verify", g, p]) == 1
+        assert capsys.readouterr().out == "ERROR instance counts differ: 2 grids vs 1 puzzles\n"
+
 
 class TestGenunav:
     def test_complete_4x4_collection(self, tmp_path, grid4_file, grids4, capsys):
@@ -134,6 +140,12 @@ class TestSolve:
             "certificate_size",
             "elapsed_seconds",
         ]
+
+    def test_node_budget_prints_bounds(self, tmp_path, capsys):
+        # the budget ends before the loop proves an optimum: both bounds print
+        g = write(tmp_path / "fig.txt", FIG_GRID_TEXT)
+        assert main(["solve", g, "--seed-cuts", "0", "--budget", "3000n"]) == 0
+        assert capsys.readouterr().out == "fig.txt:1: bounds_only lower=1 upper=81\n"
 
     def test_missing_grid_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.txt")]) == 1
@@ -368,9 +380,12 @@ class TestFlagRanges:
         [
             ("solve", "--budget", "-5s"),
             ("solve", "--budget", "abc"),
+            ("solve", "--budget", "60s,30s"),
+            ("solve", "--budget", "5n,7n"),
             ("solve", "--seed-cuts", "-3"),
             ("solve", "--max-cut-size", "0"),
             ("solve", "--jobs", "0"),
+            ("genunav", "--max-sets", "abc"),
             ("genunav", "--max-size", "-1"),
             ("genunav", "--max-time", "-1"),
             ("genunav", "--max-time", "nan"),

@@ -49,6 +49,10 @@ class TestCountSolutions:
     def test_limit_caps(self, size4):
         assert count_solutions(Puzzle(size4, [0] * 16), 10) == 10
 
+    def test_limit_must_be_positive(self, figure_puzzle):
+        with pytest.raises(ValueError, match="limit must be positive"):
+            count_solutions(figure_puzzle, 0)
+
     def test_matches_oracle_on_random_masks(self, grids4, grid4_objects, size4):
         rng = random.Random(4242)
         for _ in range(1000):

@@ -204,6 +204,10 @@ class TestApplyPattern:
         with pytest.raises(SizeMismatchError):
             apply_pattern(figure_grid, CluePattern.all_cells(size4))
 
+    def test_pattern_length_checked(self, size4):
+        with pytest.raises(LengthMismatchError, match="expected 16 mask entries, got 15"):
+            CluePattern(size4, [True] * 15)
+
     def test_givens_equal_cardinality(self, figure_grid, size9):
         rng = random.Random(99)
         for _ in range(200):

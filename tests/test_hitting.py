@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import hitting_throughput
 import oracle
 from conftest import BLUE, GREEN, RED
 from minclue import (
     Cell,
     HittingInstance,
     SearchBudget,
+    SearchStats,
     disjoint_packing_bound,
     min_hitting_set,
 )
@@ -31,6 +33,11 @@ class TestExamples:
         inst = HittingInstance.build(size9.all_cells(), [GREEN, frozenset()])
         with pytest.raises(ValueError):
             min_hitting_set(inst)
+
+    def test_member_outside_the_universe_is_rejected(self):
+        # an unchecked universe let {2} come back as an optimum over [1]
+        with pytest.raises(ValueError, match="outside the universe"):
+            HittingInstance.build([1], [{2}])
 
     def test_single_green_set(self, size9):
         sol = min_hitting_set(HittingInstance.build(size9.all_cells(), [GREEN]))
@@ -171,3 +178,21 @@ class TestInterrupt:
         assert not cut.proven_optimal
         assert cut.lower_bound <= full.value <= cut.value
         assert all(cut.cells & member for member in fam)
+
+
+class TestFigureFamilyPin:
+    def test_optimum_and_interrupt_match_the_pins(self):
+        # the figure grid's first 45 sets: optimum 12 in 40,297 nodes, and
+        # 14 over lower 10 at a 1,000-node budget; a change in the branching,
+        # the cut rule or the interrupt bound shows here
+        frozen = hitting_throughput.instance()
+        for budget, pin in (
+            (None, hitting_throughput.PIN),
+            (hitting_throughput.BUDGET, hitting_throughput.BUDGET_PIN),
+        ):
+            stats = SearchStats()
+            sol = min_hitting_set(
+                frozen, upper_hint=hitting_throughput.UPPER_HINT, budget=budget, stats=stats
+            )
+            assert hitting_throughput.outcome(sol, stats) == pin
+            assert all(sol.cells & member for member in frozen.family)

@@ -367,6 +367,10 @@ class TestFcp:
         assert result.status is MscpStatus.OPTIMAL
         assert result.lower_bound == result.upper_bound == len(result.best_clue) == want
 
+    def test_latin_rejects_empty_square(self):
+        with pytest.raises(ValueError, match="the square is empty"):
+            latin_square_fcp_instance([])
+
     def test_latin_rejects_non_latin_target(self):
         with pytest.raises(ValueError):
             latin_square_fcp_instance((1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4))

@@ -346,6 +346,7 @@ class TestCollectionIO:
             ("m=2: 1,1 1,5", "line 2: cell \\(1,5\\) out of bounds"),
             ("m=0:", "line 2: an unavoidable set cannot be empty"),
             ("m=1: 0,1", "line 2: cell coordinates are 1-based"),
+            ("1,1 1,2", "line 2: expected 'm=<size>:'"),
         ],
     )
     def test_bad_set_line(self, grid4_objects, tmp_path, line, message):
