@@ -4,14 +4,15 @@ One private mutable state per call; every public function is reentrant and
 deterministic: most-constrained cell first, ties by (row, col), digits tried
 in ascending order. Every completion query (count, solve, alternate,
 enumeration) consumes the one propagating generator `_completions`, so they
-all see completions in the same search order. An alternate is the first
-completion, other than the target, of the target masked to its revealed
-cells: `find_alternate` and the oracle of `solver.solve_mscp` ask for it
-on a Sudoku table, and the finder of `solver.latin_square_fcp_instance` on
-the box-free one, the oracles under the IHS loop's budget share and
-reporting their nodes. Budgets are enforced as exact node counts
-(optionally wall-clock time) and surface as SearchInterrupted, never as a
-wrong answer.
+all see completions in the same search order, except that an alternate
+query tries the target's digit first: the target is then the first
+completion of itself masked to its revealed cells, and an alternate the
+second, near the target. `find_alternate` and the oracle of
+`solver.solve_mscp` ask for it on a Sudoku table, and the finder of
+`solver.latin_square_fcp_instance` on the box-free one, the oracles under
+the IHS loop's budget share and reporting their nodes. Budgets are enforced
+as exact node counts (optionally wall-clock time) and surface as
+SearchInterrupted, never as a wrong answer.
 
 Both searches read the unit table `grid._Geometry`: slot r is row r,
 slot n + c column c and slot 2n + b box b. A cell's candidates are the
@@ -162,13 +163,17 @@ class _State:
             cands[i] = ~(used[r] | used[c] | used[b]) & geo.full
 
 
-def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
+def _completions(
+    state: _State, ticker: _Ticker, target: Optional[Sequence[int]] = None
+) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration core shared by every completion search.
 
     Forced placements (a cell with one candidate, a digit with one home in a
-    unit) are applied before branching on the most-constrained cell. Yields
-    the entry tuple of each completion in search order; a caller that has
-    what it needs stops consuming, so the search does no further work.
+    unit) are applied before branching on the most-constrained cell, trying
+    its `target` digit first when given and a candidate, then the rest
+    ascending. Yields the entry tuple of each completion in search order; a
+    caller that has what it needs stops consuming, so the search does no
+    further work. A search that runs out visits one tree in either order.
 
     Candidate table: `state.cands[i]` is the digit mask open cell i can
     still take, 0 once it is assigned. Every placement, forced or branch,
@@ -185,6 +190,7 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
     slots, members, peers, units = geo.slots, geo.members, geo.peers, geo.units
     full = geo.full
     tick = ticker.tick
+    lead = [1 << (v - 1) for v in target] if target else [0] * geo.cells
 
     def place(i: int, bit: int) -> None:
         tick()
@@ -254,12 +260,13 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
             return
         saved = values[:], used[:], cands[:]
         cand = cands[best]
+        bit = cand & lead[best] or cand & -cand
         while cand:
-            bit = cand & -cand
             cand ^= bit
             place(best, bit)
             yield from search()
             values[:], used[:], cands[:] = saved
+            bit = cand & -cand
 
     return search()
 
@@ -269,25 +276,24 @@ def _solutions(
     entries: Sequence[int],
     budget: Optional[SearchBudget],
     stats: Optional[SearchStats],
+    target: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """The completions of `entries` (0 = open) in search order under one
-    budget; `stats` is filled when the search ends, fails or is closed."""
+    budget, `target`'s digits first; `stats` is filled when the search
+    ends, fails or is closed."""
     ticker = _Ticker(budget)
     try:
-        yield from _completions(_State(geo, entries), ticker)
+        yield from _completions(_State(geo, entries), ticker, target)
     finally:
         ticker.record(stats)
 
 
-def _first(
-    completions: Iterator[tuple[int, ...]], skip: Optional[tuple[int, ...]] = None
-) -> Optional[tuple[int, ...]]:
-    """The first completion other than `skip`, or None; closes the search."""
+def _first(completions: Iterator[tuple[int, ...]], skip: int = 0) -> Optional[tuple[int, ...]]:
+    """The completion after the first `skip`, or None; closes the search. An
+    alternate skips one: trying the target's digits first finds the target
+    first, as every forced digit on its path is the target's."""
     with closing(completions):
-        for values in completions:
-            if values != skip:
-                return values
-    return None
+        return next(islice(completions, skip, None), None)
 
 
 def count_solutions(
@@ -336,11 +342,14 @@ def find_alternate(
 ) -> Optional[Grid]:
     """A completion of apply_pattern(grid, pattern) that differs from grid.
 
-    None means the pattern induces a puzzle whose unique solution is `grid`.
+    The search tries the grid's digits first, so the alternate is its second
+    completion; backtracking from the grid changes late decisions first, so
+    it differs from the grid in few cells. None means the pattern induces a
+    puzzle whose unique solution is `grid`.
     """
     geo = _Geometry.get(grid.size.n, grid.size.s)
     entries = _masked_entries(grid, pattern)
-    values = _first(_solutions(geo, entries, budget, stats), skip=grid.entries)
+    values = _first(_solutions(geo, entries, budget, stats, grid.entries), skip=1)
     return None if values is None else Grid(grid.size, values)
 
 

@@ -10,11 +10,13 @@ minimum size, or the indices where its answer differs yield a new minimal
 cut and the loop repeats; every oracle answer is checked. Callers:
 `solve_mscp` (a Sudoku grid's cells in row-major order) and `fcp_solve` on
 `latin_square_fcp_instance`, both with the oracle `_table_alternate` on
-their unit tables, or `fcp_solve` on any user-built `FcpInstance`. Every
-oracle has the one signature `(revealed, budget, stats) -> certificate or
-None`, so its search nodes count toward a solve's node budget whoever the
-caller is. A solve keeps one `engine._Ticker`: its clock times the trace,
-and its `spend` shares what is left of the budget among the searches.
+their unit tables, whose search tries the target's digits first so that
+an alternate lies near the target and shrinks in few calls, or `fcp_solve`
+on any user-built `FcpInstance`. Every oracle has the one signature
+`(revealed, budget, stats) -> certificate or None`, so its search nodes
+count toward a solve's node budget whoever the caller is. A solve keeps
+one `engine._Ticker`: its clock times the trace, and its `spend` shares
+what is left of the budget among the searches.
 """
 from __future__ import annotations
 
@@ -188,12 +190,13 @@ def _alternate_diff(
 
 
 def _table_alternate(geo: _Geometry, target: tuple) -> _Alternate:
-    """The loop's oracle on a unit table: the first completion, other than
-    the target, of the target masked to the revealed indices."""
+    """The loop's oracle on a unit table: the second completion of the
+    target masked to the revealed indices, in a search that tries the
+    target's digit first at each branch and so yields the target first."""
 
     def alternate(revealed: frozenset, budget: SearchBudget, stats: SearchStats):
         entries = [v if i in revealed else 0 for i, v in enumerate(target)]
-        return _first(_solutions(geo, entries, budget, stats), skip=target)
+        return _first(_solutions(geo, entries, budget, stats, target), skip=1)
 
     return alternate
 

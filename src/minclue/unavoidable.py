@@ -242,7 +242,10 @@ def generate_all(
     """Enumerate minimal unavoidable sets in nondecreasing size order.
 
     One deviation search object serves the whole run: for each distance
-    m = 1, 2, ... it runs until no further grid exists at that distance.
+    m = 4, 5, ... it runs until no further grid exists at that distance.
+    No grid is nearer: a row or column meeting a diff meets it twice, so a
+    diff cell, one in its row, one in that one's column and one in that
+    one's row are four distinct cells.
     Each emitted set becomes a nogood in place, kept for every later
     distance, and the search resumes from where it stopped instead of
     restarting. Excluding emitted sets guarantees each new set is itself
@@ -258,7 +261,7 @@ def generate_all(
     max_size = min(max_size, g.size.cell_count)
     cells = g.size.all_cells()
     try:
-        for m in range(1, max_size + 1):
+        for m in range(4, max_size + 1):
             for values in search.grids(m):
                 elapsed = perf_counter() - ticker.started
                 diff = [i for i, (v, t) in enumerate(zip(values, g.entries)) if v != t]

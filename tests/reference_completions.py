@@ -3,9 +3,10 @@
 At every propagation round it recomputes each open cell's candidates from
 the three slot masks of its row, column and box, where the library keeps a
 candidate table that each placement updates at the placed cell's peers.
-Propagation order, tick placement, the branch cell and the digit order are
-the same, so both must yield the same completions in the same order with
-the same node counts, and stop a budget at the same node.
+Propagation order, tick placement, the branch cell and the digit order
+(ascending, or the target's digit first when a target is given) are the
+same, so both must yield the same completions in the same order with the
+same node counts, and stop a budget at the same node.
 """
 from __future__ import annotations
 
@@ -16,10 +17,14 @@ from minclue.engine import _State, _Ticker
 from minclue.grid import _Geometry
 
 
-def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
+def _completions(
+    state: _State, ticker: _Ticker, target: Optional[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration: forced placements (a cell with one
     candidate, a digit with one home in a unit) before branching on the
-    most-constrained cell; yields each completion's entries in search order."""
+    most-constrained cell, trying its target digit first when that is a
+    candidate and then the others ascending; yields each completion's
+    entries in search order."""
     geo = state.geo
     values = state.values
     used = state.used
@@ -111,15 +116,17 @@ def _completions(state: _State, ticker: _Ticker) -> Iterator[tuple[int, ...]]:
         yield tuple(values)
         undo()
         return
-    cand = best_cand
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
+    bits = [1 << d for d in range(geo.n) if best_cand >> d & 1]
+    lead = None if target is None else 1 << (target[best] - 1)
+    if lead in bits:
+        bits.remove(lead)
+        bits.insert(0, lead)
+    for bit in bits:
         tick()
         values[best] = bit.bit_length()
         for slot in slots[best]:
             used[slot] |= bit
-        yield from _completions(state, ticker)
+        yield from _completions(state, ticker, target)
         values[best] = 0
         for slot in slots[best]:
             used[slot] ^= bit
@@ -131,10 +138,11 @@ def reference_solutions(
     entries: Sequence[int],
     budget: Optional[SearchBudget],
     stats: Optional[SearchStats],
+    target: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """`engine._solutions` on the rescanning search."""
     ticker = _Ticker(budget)
     try:
-        yield from _completions(_State(geo, entries), ticker)
+        yield from _completions(_State(geo, entries), ticker, target)
     finally:
         ticker.record(stats)

@@ -193,13 +193,14 @@ def reference_deviating_grid(
 def reference_generate(
     g: Grid, limits: GenerationLimits, stats: Optional[SearchStats] = None
 ) -> tuple[list[tuple], bool]:
-    """`generate_all` on the rescanning search, one search per distance:
-    the emitted (set, discovered size) pairs in order, and completeness."""
+    """`generate_all` on the rescanning search, one search per distance
+    from 4, the smallest at which two grids can differ: the emitted (set,
+    discovered size) pairs in order, and completeness."""
     ticker = _Ticker(None)
     out: list[tuple] = []
     complete = True
     max_size = min(limits.max_size or g.size.cell_count, g.size.cell_count)
-    for m in range(1, max_size + 1):
+    for m in range(4, max_size + 1):
         excluded = tuple(cells.as_frozenset() for cells, _ in out)
         search = RescanningSearch(DeviationConstraint(g, m, excluded), ticker)
         for values in search.grids():

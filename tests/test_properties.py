@@ -26,7 +26,7 @@ from minclue import (
     generate_all,
     solve_mscp,
 )
-from minclue.engine import _DeviationSearch, _solutions, _Ticker
+from minclue.engine import _DeviationSearch, _first, _solutions, _Ticker
 from minclue.grid import _Geometry
 import oracle
 from reference_completions import reference_solutions
@@ -82,12 +82,12 @@ def test_sudoku_is_one_fewest_clue_instance(grid4_objects, idx):
     ]
 
 
-def first_completions(solutions, geo, entries, max_nodes, limit):
+def first_completions(solutions, geo, entries, max_nodes, limit, target=None):
     """The first `limit` completions of one search, the nodes it counted,
     and the node at which its budget stopped it (None if it did not)."""
     stats = SearchStats()
     out = []
-    completions = solutions(geo, entries, SearchBudget(max_nodes=max_nodes), stats)
+    completions = solutions(geo, entries, SearchBudget(max_nodes=max_nodes), stats, target)
     try:
         with closing(completions):
             out.extend(islice(completions, limit))
@@ -96,9 +96,12 @@ def first_completions(solutions, geo, entries, max_nodes, limit):
     return out, stats.nodes, None
 
 
-def assert_matches_reference(geo, entries, max_nodes, limit=30):
-    got = first_completions(_solutions, geo, entries, max_nodes, limit)
-    assert got == first_completions(reference_solutions, geo, entries, max_nodes, limit)
+def assert_matches_reference(geo, target, entries, max_nodes, limit=30):
+    # in ascending digit order, and trying the target's digit first
+    for order in (None, target):
+        got = first_completions(_solutions, geo, entries, max_nodes, limit, order)
+        want = first_completions(reference_solutions, geo, entries, max_nodes, limit, order)
+        assert got == want
 
 
 def masked(entries, seed, density):
@@ -113,15 +116,16 @@ node_budget = st.one_of(st.none(), st.integers(min_value=0, max_value=400))
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(grid_index, mask_seed, st.floats(0.0, 1.0), node_budget)
 def test_completion_search_matches_reference_on_4x4(grid4_objects, idx, seed, density, max_nodes):
-    entries = masked(grid4_objects[idx].entries, seed, density)
-    assert_matches_reference(_Geometry.get(4, 2), entries, max_nodes, limit=300)
+    target = grid4_objects[idx].entries
+    entries = masked(target, seed, density)
+    assert_matches_reference(_Geometry.get(4, 2), target, entries, max_nodes, limit=300)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(mask_seed, st.floats(0.15, 0.6), node_budget)
 def test_completion_search_matches_reference_on_figure_grid(figure_grid, seed, density, max_nodes):
     entries = masked(figure_grid.entries, seed, density)
-    assert_matches_reference(_Geometry.get(9, 3), entries, max_nodes)
+    assert_matches_reference(_Geometry.get(9, 3), figure_grid.entries, entries, max_nodes)
 
 
 latin5_line = st.permutations(range(5))
@@ -133,7 +137,54 @@ def test_completion_search_matches_reference_on_latin5(rows, cols, symbols, seed
     # a row, column and symbol permutation of the back-circulant square B_5
     square = [symbols[(rows[r] + cols[c]) % 5] + 1 for r in range(5) for c in range(5)]
     entries = masked(square, seed, density)
-    assert_matches_reference(_Geometry.get(5, 0), entries, max_nodes)
+    assert_matches_reference(_Geometry.get(5, 0), square, entries, max_nodes)
+
+
+def every_completion(geo, entries, max_nodes, target=None):
+    """All completions of one search in its order and the nodes it
+    counted, or None and the nodes when its budget stopped it."""
+    stats = SearchStats()
+    completions = _solutions(geo, entries, SearchBudget(max_nodes=max_nodes), stats, target)
+    try:
+        with closing(completions):
+            return list(completions), stats.nodes
+    except SearchInterrupted:
+        return None, stats.nodes
+
+
+def assert_target_first_is_exact(geo, target, entries, max_nodes):
+    """Trying the target's digit first yields the target first, the same
+    completions as ascending order, and the same node count when the
+    search runs out; an alternate query that finds none counts the nodes
+    of a uniqueness count."""
+    ascending, nodes = every_completion(geo, entries, max_nodes)
+    ordered, target_nodes = every_completion(geo, entries, max_nodes, target)
+    assert target_nodes == nodes
+    assert (ordered is None) == (ascending is None)
+    if ordered is not None:
+        assert len(ordered) == len(ascending) == len(set(ordered))
+        assert set(ordered) == set(ascending)
+    assert _first(_solutions(geo, entries, None, None, target)) == tuple(target)
+    stats, unique_stats = SearchStats(), SearchStats()
+    if _first(_solutions(geo, entries, None, stats, target), skip=1) is None:
+        assert sum(1 for _ in _solutions(geo, entries, None, unique_stats)) == 1
+        assert stats.nodes == unique_stats.nodes
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grid_index, mask_seed, st.floats(0.0, 1.0))
+def test_target_first_order_is_exact_on_4x4(grid4_objects, idx, seed, density):
+    target = grid4_objects[idx].entries
+    entries = masked(target, seed, density)
+    assert_target_first_is_exact(_Geometry.get(4, 2), target, entries, None)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mask_seed, st.floats(0.3, 1.0))
+def test_target_first_order_is_exact_on_figure_grid(figure_grid, seed, density):
+    # sparse masks may exceed the budget, in both orders alike
+    entries = masked(figure_grid.entries, seed, density)
+    assert_target_first_is_exact(_Geometry.get(9, 3), figure_grid.entries, entries, 20_000)
 
 
 cell4 = st.builds(Cell, st.integers(1, 4), st.integers(1, 4))

@@ -274,17 +274,17 @@ class TestBudgetedSolve:
         assert result.best_pattern.cardinality() == result.upper_bound
 
     def test_generator_spending_the_budget_keeps_seed_lower_bound(self, figure_grid):
-        # the first four size-4 sets cost 2826, 2918, 2970 and 3043 generator
-        # nodes, so seeding's half of 6,000 nodes ends after three of them;
+        # the first four size-4 sets cost 1841, 1933, 1985 and 2058 generator
+        # nodes, so seeding's half of 4,000 nodes ends after three of them;
         # the loop starts from their packing bound
         limits = GenerationLimits(max_sets=4, max_size=4)
         cfg = MscpConfig(
             initial_cuts=4,
             max_cut_size=4,
-            solve_budget=SearchBudget(max_nodes=6_000),
+            solve_budget=SearchBudget(max_nodes=4_000),
         )
         result = solve_mscp(figure_grid, cfg)
-        seeded = generate_all(figure_grid, limits, budget=SearchBudget(max_nodes=3_000))
+        seeded = generate_all(figure_grid, limits, budget=SearchBudget(max_nodes=2_000))
         assert len(seeded) == 3 and not seeded.complete
         assert [r.cells for r in result.certificate.records[:3]] == [
             r.cells for r in seeded.records
@@ -318,14 +318,14 @@ class TestBudgetedSolve:
         assert result.trace[-1].lower == result.lower_bound
 
     def test_figure_grid_node_budget_reaches_lower_9(self, figure_grid):
-        # BOUNDS_ONLY 9/34 after 44 iterations and 200,001 nodes, with the
+        # BOUNDS_ONLY 10/23 after 51 iterations and 200,001 nodes, with the
         # cuts in a pinned order: a change in any search shows here
         result = solve_mscp(figure_grid, oracle_throughput.CONFIG)
         assert oracle_throughput.outcome(result) == oracle_throughput.PIN
         assert 9 <= result.lower_bound <= 17 <= result.upper_bound
         assert verify_validity(figure_grid, result.best_pattern)
         # each cut is checked by the public searches, not by the loop
-        assert len(result.certificate) == 43
+        assert len(result.certificate) == 50
         for member in result.certificate:
             assert is_unavoidable(figure_grid, member.cells)
             assert minimalize(figure_grid, member.cells) == member
@@ -359,7 +359,7 @@ class TestFcp:
         assert result.upper_bound == want
 
     # the back-circulant square B_n has smallest critical set floor(n^2 / 4)
-    # (Curran & van Rees, 1978); B_5 takes 113,863 nodes and B_6 13,897
+    # (Curran & van Rees, 1978); B_5 takes 73,051 nodes and B_6 6,333
     @pytest.mark.parametrize("n, want", [(5, 6), (6, 9)])
     def test_back_circulant_critical_set(self, n, want):
         square = [(r + c) % n + 1 for r in range(n) for c in range(n)]
