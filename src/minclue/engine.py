@@ -21,9 +21,11 @@ in a table, one digit mask per cell, that a placement updates at the
 placed cell's peers only, so no node recomputes them. The completion
 search also keeps one list `used`, a digit mask per slot, so that
 propagation can scan the slots in `units` for the digits each still
-needs. Latin squares use the box-free table, whose box slots mirror the
-rows and are not scanned. The deviation search keeps no slot masks: it
-looks up, through `pos`, whether a digit's target cell is still open.
+needs; it rescans only the units a placement changed, as a scan of an
+unchanged unit finds what its last scan did. Latin squares use the
+box-free table, whose box slots mirror the rows and are not scanned. The
+deviation search keeps no slot masks: it looks up, through `pos`, whether
+a digit's target cell is still open.
 """
 from __future__ import annotations
 
@@ -138,7 +140,9 @@ class _Ticker:
 
 class _State:
     """Slot bitmasks, the candidate table and the current assignment, for
-    one search."""
+    one search. A new state is no propagation fixpoint, so the completion
+    search starts on it with every unit touched and the naked-single pass
+    due."""
 
     __slots__ = ("geo", "values", "used", "cands", "empties")
 
@@ -183,40 +187,64 @@ def _completions(
     branches copies `values`, `used` and the table first and restores all
     three from the copies after each child, so no frame undoes its own
     forced placements: the frame that branched into it does.
+
+    Touched units: a placement sets in `touched` the bits of the units of
+    the placed cell and of each peer that lost the digit, and `narrowed`
+    when such a peer is left one candidate or none. A round runs the
+    naked-single pass only if `narrowed` is set, and scans, in `units`
+    order, only units whose bit is set, clearing it first. A skipped scan is
+    a no-op: the unit's mask and candidates are those of its last scan,
+    which placed nothing (a placement re-marks its units) and did not fail.
+    So placements, ticks and node counts are those of rescanning every cell
+    and unit each round (`tests/reference_completions.py`). Both are clear
+    at the fixpoint a frame saved, so it clears both when it restores it.
     """
     geo = state.geo
     values, used, cands = state.values, state.used, state.cands
     empties = state.empties
     slots, members, peers, units = geo.slots, geo.members, geo.peers, geo.units
-    full = geo.full
+    slot_bits, full = geo.slot_bits, geo.full
     tick = ticker.tick
     lead = [1 << (v - 1) for v in target] if target else [0] * geo.cells
+    touched, narrowed = geo.all_units, True
 
     def place(i: int, bit: int) -> None:
+        nonlocal touched, narrowed
         tick()
         values[i] = bit.bit_length()
         for slot in slots[i]:
             used[slot] |= bit
         cands[i] = 0
+        changed = slot_bits[i]
         for p in peers[i]:
-            if cands[p] & bit:
-                cands[p] ^= bit
+            cand = cands[p]
+            if cand & bit:
+                cand ^= bit
+                cands[p] = cand
+                changed |= slot_bits[p]
+                if not cand & (cand - 1):
+                    narrowed = True
+        touched |= changed
 
     def propagate() -> bool:
         """Apply forced placements until none is left; False on a
         contradiction."""
-        while True:
-            assigned = False
-            for i in empties:
-                cand = cands[i]
-                if not cand:
-                    if values[i]:
-                        continue
-                    return False
-                if not cand & (cand - 1):
-                    place(i, cand)
-                    assigned = True
+        nonlocal touched, narrowed
+        while touched or narrowed:
+            if narrowed:
+                narrowed = False
+                for i in empties:
+                    cand = cands[i]
+                    if not cand:
+                        if values[i]:
+                            continue
+                        return False
+                    if not cand & (cand - 1):
+                        place(i, cand)
             for slot in units:
+                if not touched >> slot & 1:
+                    continue
+                touched ^= 1 << slot
                 needed = full & ~used[slot]
                 if not needed:
                     continue
@@ -235,14 +263,13 @@ def _completions(
                     for i in cells_u:
                         if cands[i] & bit:
                             place(i, bit)
-                            assigned = True
                             break
                     else:
                         return False
-            if not assigned:
-                return True
+        return True
 
     def search() -> Iterator[tuple[int, ...]]:
+        nonlocal touched, narrowed
         if not propagate():
             return
         best = -1
@@ -266,6 +293,7 @@ def _completions(
             place(best, bit)
             yield from search()
             values[:], used[:], cands[:] = saved
+            touched, narrowed = 0, False
             bit = cand & -cand
 
     return search()

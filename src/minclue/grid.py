@@ -15,6 +15,7 @@ c // s.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, Sequence, Union
@@ -121,10 +122,14 @@ class _Geometry:
     share a slot with cell i, in index order, and `units` lists the slots
     that constrain, in the order row u, column u, box u. s = 0 means no
     boxes (Latin squares): slot 2n + r mirrors row r and is left out of
-    `units`.
+    `units`. `slot_bits[i]` has bit `slot` set for each slot of cell i in
+    `units`, and `all_units` is their union: the completion search marks
+    the units a placement changes in such a mask.
     """
 
-    __slots__ = ("n", "cells", "full", "slots", "members", "peers", "units")
+    __slots__ = (
+        "n", "cells", "full", "slots", "members", "peers", "units", "slot_bits", "all_units"
+    )
 
     _cache: dict[tuple[int, int], "_Geometry"] = {}
 
@@ -145,6 +150,8 @@ class _Geometry:
             for i, cell_slots in enumerate(self.slots)
         ]
         self.units = [k * n + u for u in range(n) for k in range(3 if s else 2)]
+        self.all_units = sum(1 << slot for slot in self.units)
+        self.slot_bits = [sum(1 << k for k in ks) & self.all_units for ks in self.slots]
 
     @classmethod
     def get(cls, n: int, s: int) -> "_Geometry":
@@ -173,8 +180,12 @@ def _scan_units(geo: _Geometry, entries: Sequence[int]) -> None:
 def _check_entries(geo: _Geometry, entries: Iterable[int], allow_empty: bool) -> tuple[int, ...]:
     """The entries as a tuple, after the one count, range and unit check
     that every board and Latin target runs; 0 (an empty cell) only when
-    `allow_empty`."""
-    entries = tuple(int(v) for v in entries)
+    `allow_empty`. An entry must be an integer (`__index__`): a float or a
+    digit string raises IllegalCharacterError, never a truncated board."""
+    try:
+        entries = tuple(map(operator.index, entries))
+    except TypeError as exc:
+        raise IllegalCharacterError(f"entries must be integers: {exc}") from None
     if len(entries) != geo.cells:
         raise LengthMismatchError(f"expected {geo.cells} entries, got {len(entries)}")
     low = 0 if allow_empty else 1

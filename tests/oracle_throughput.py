@@ -12,6 +12,11 @@ oracle calls per loop iteration as a Markdown list, and exits 1 when the
 result differs from `PIN`. The solve is deterministic, so a change to the
 completion search that moves one node count, one alternate or one cut
 shows here; `tests/test_solver.py` checks the same pin.
+
+It also splits the oracle's calls, nodes and seconds between those made
+inside `solver._shrink` and the rest (candidate checks and `repair`), and
+times `find_alternate` on the 16x16 shift grid with no clue, the largest
+unit table, where propagation skips the most unit scans.
 """
 from __future__ import annotations
 
@@ -20,8 +25,20 @@ import sys
 from time import perf_counter
 
 from conftest import FIG_GRID_TEXT
-from minclue import GridSize, MscpConfig, MscpResult, SearchBudget, parse_grid, solve_mscp
+from minclue import (
+    CluePattern,
+    Grid,
+    GridSize,
+    MscpConfig,
+    MscpResult,
+    SearchBudget,
+    SearchStats,
+    find_alternate,
+    parse_grid,
+    solve_mscp,
+)
 from minclue import solver
+from test_grid import TestBigBoards
 
 CONFIG = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000))
 
@@ -45,24 +62,42 @@ def outcome(result: MscpResult) -> tuple:
     )
 
 
+def shift16_alternate(repeats: int = 5) -> tuple[int, float]:
+    """Nodes and median seconds of `find_alternate` on the 16x16 shift grid
+    with no clue."""
+    size = GridSize.of_side(16)
+    grid = Grid(size, TestBigBoards.shift_grid(16))
+    pattern = CluePattern.no_cells(size)
+    stats = SearchStats()
+    seconds = []
+    for _ in range(repeats):
+        started = perf_counter()
+        find_alternate(grid, pattern, stats=stats)
+        seconds.append(perf_counter() - started)
+    return stats.nodes, sorted(seconds)[repeats // 2]
+
+
 def main() -> int:
     grid = parse_grid(FIG_GRID_TEXT, GridSize.of_side(9))
-    calls = nodes = diffs = diff_cells = 0
-    seconds = 0.0
-    table_alternate = solver._table_alternate
+    # calls, nodes and seconds, inside `_shrink` (True) and outside it
+    spent = {True: [0, 0, 0.0], False: [0, 0, 0.0]}
+    diffs = diff_cells = 0
+    in_shrink = False
+    table_alternate, shrink = solver._table_alternate, solver._shrink
 
     def timed_table(geo, target):
         alternate = table_alternate(geo, target)
 
         def timed(revealed, budget, stats):
-            nonlocal calls, nodes, seconds, diffs, diff_cells
+            nonlocal diffs, diff_cells
             started = perf_counter()
             try:
                 alt = alternate(revealed, budget, stats)
             finally:
-                seconds += perf_counter() - started
-                calls += 1
-                nodes += stats.nodes
+                part = spent[in_shrink]
+                part[0] += 1
+                part[1] += stats.nodes
+                part[2] += perf_counter() - started
             if alt is not None:
                 diffs += 1
                 diff_cells += sum(a != b for a, b in zip(alt, target))
@@ -70,18 +105,38 @@ def main() -> int:
 
         return timed
 
-    solver._table_alternate = timed_table
+    def marked_shrink(diff, alternate_diff):
+        nonlocal in_shrink
+        in_shrink = True
+        try:
+            return shrink(diff, alternate_diff)
+        finally:
+            in_shrink = False
+
+    solver._table_alternate, solver._shrink = timed_table, marked_shrink
     try:
         result = solve_mscp(grid, CONFIG)
     finally:
-        solver._table_alternate = table_alternate
+        solver._table_alternate, solver._shrink = table_alternate, shrink
     got = outcome(result)
+    calls, nodes, seconds = (a + b for a, b in zip(spent[True], spent[False]))
     print(f"- figure grid, 200,000-node solve: {got}" + ("" if got == PIN else f", pinned {PIN}"))
     print(
         f"- oracle: {calls} calls in {seconds:.3f} s, "
         f"{calls / seconds:.0f} calls/s, {nodes / seconds:.0f} nodes/s, "
         f"{diff_cells / diffs:.1f} cells per diff, "
         f"{calls / result.iterations:.1f} calls per iteration"
+    )
+    for inside, where in ((True, "inside"), (False, "outside")):
+        part_calls, part_nodes, part_seconds = spent[inside]
+        print(
+            f"- oracle {where} `_shrink`: {part_calls} calls, {part_nodes} nodes, "
+            f"{part_seconds:.3f} s"
+        )
+    shift_nodes, shift_seconds = shift16_alternate()
+    print(
+        f"- 16x16 shift grid, `find_alternate` with no clue: {shift_nodes} nodes "
+        f"in {shift_seconds * 1e3:.1f} ms, {shift_nodes / shift_seconds:.0f} nodes/s"
     )
     return 0 if got == PIN else 1
 

@@ -1,12 +1,16 @@
 """Reference completion search: the rescanning form of `engine._completions`.
 
-At every propagation round it recomputes each open cell's candidates from
-the three slot masks of its row, column and box, where the library keeps a
-candidate table that each placement updates at the placed cell's peers.
-Propagation order, tick placement, the branch cell and the digit order
-(ascending, or the target's digit first when a target is given) are the
-same, so both must yield the same completions in the same order with the
-same node counts, and stop a budget at the same node.
+At every propagation round it runs the naked-single pass over every open
+cell and scans every unit, recomputing each open cell's candidates from
+the three slot masks of its row, column and box. The library keeps a
+candidate table that each placement updates at the placed cell's peers,
+and skips the pass and the unit scans that no placement has touched since
+they last ran: such a scan would place nothing and find no contradiction,
+so it is only the skipped work that differs. Propagation order, tick
+placement, the branch cell and the digit order (ascending, or the target's
+digit first when a target is given) are the same, so both must yield the
+same completions in the same order with the same node counts, and stop a
+budget at the same node.
 """
 from __future__ import annotations
 

@@ -302,11 +302,14 @@ class TestSixteen:
         from test_grid import TestBigBoards
 
         grid = Grid(size, TestBigBoards.shift_grid(16))
-        assert find_alternate(grid, CluePattern.all_cells(size)) is None
-        alt = find_alternate(grid, CluePattern.no_cells(size))
+        full, empty = SearchStats(), SearchStats()
+        assert find_alternate(grid, CluePattern.all_cells(size), stats=full) is None
+        alt = find_alternate(grid, CluePattern.no_cells(size), stats=empty)
         assert alt is not None
         # the first ascending completion differs from the grid in 192 cells
         assert 0 < sum(a != b for a, b in zip(alt.entries, grid.entries)) <= 8
+        # pinned node counts: a full reveal places nothing
+        assert (full.nodes, empty.nodes) == (0, 264)
 
 
 class TestIterSolutions:

@@ -122,6 +122,13 @@ class TestParseGrid:
         with pytest.raises(IllegalCharacterError):
             parse_grid(first + FIG_GRID_TEXT[1:], size9)
 
+    # int() would truncate 1.7 to 1 and parse "1"; an entry must be an integer
+    @pytest.mark.parametrize("entry", [lambda v: v + 0.7, str], ids=["float", "string"])
+    def test_entries_must_be_integers(self, size4, entry):
+        entries = parse_grid("1234341221434321", size4).entries
+        with pytest.raises(IllegalCharacterError):
+            Grid(size4, [entry(v) for v in entries])
+
     def test_row_violation(self, size4):
         # the 16-char example floated for this case is actually a valid grid
         assert parse_grid("1234341221434321", size4) is not None

@@ -140,6 +140,17 @@ def test_completion_search_matches_reference_on_latin5(rows, cols, symbols, seed
     assert_matches_reference(_Geometry.get(5, 0), square, entries, max_nodes)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(mask_seed, st.floats(0.0, 0.8), st.integers(min_value=0, max_value=3000))
+def test_completion_search_matches_reference_on_shift16(seed, density, max_nodes):
+    # the largest unit table: the most unit scans a placement leaves untouched
+    from test_grid import TestBigBoards
+
+    target = TestBigBoards.shift_grid(16)
+    entries = masked(target, seed, density)
+    assert_matches_reference(_Geometry.get(16, 4), target, entries, max_nodes)
+
+
 def every_completion(geo, entries, max_nodes, target=None):
     """All completions of one search in its order and the nodes it
     counted, or None and the nodes when its budget stopped it."""

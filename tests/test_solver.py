@@ -382,6 +382,7 @@ class TestFcp:
             ((1, 2, 2, 3), IllegalCharacterError),
             ((1, 2, 0, 1), IllegalCharacterError),
             ((1, 2, 1, 2), ConstraintViolationError),
+            ((1.9, 2.2, 2.0, 1.0), IllegalCharacterError),
         ],
     )
     def test_latin_target_gets_the_board_entry_check(self, square, error):
