@@ -7,7 +7,9 @@ hit every unavoidable set), and an oracle that looks for an alternate
 certificate agreeing with the target on the candidate clue set. Either the
 oracle finds none, which proves the candidate is a valid clue set of
 minimum size, or the indices where its answer differs yield a new minimal
-cut and the loop repeats; every oracle answer is checked. Callers:
+cut and the loop repeats; every oracle answer is checked, and kept: a query
+is answered by the oldest earlier alternate that agrees with the target on
+its revealed indices, and only a query that none fits searches. Callers:
 `solve_mscp` (a Sudoku grid's cells in row-major order) and `fcp_solve` on
 `latin_square_fcp_instance`, both with the oracle `_table_alternate` on
 their unit tables, whose search tries the target's digits first so that
@@ -216,9 +218,34 @@ def _ihs_loop(
     first minimum hitting set of all cuts in search order. Trace times count
     from the start of `budget`; iteration i is always `trace[i - 1]`, and a
     cut the loop adds in iteration i is `certificate[len(seeds) + i - 1]`.
+
+    Every query (candidate check, `_shrink` trial, `repair` step) is first
+    answered from the diffs of the alternates found so far: the oldest one
+    disjoint from the revealed set is a valid answer, since that alternate
+    agrees with the target there. The oracle is searched only when none
+    fits, and only a search answers None, so `_shrink` stays minimal and
+    the loop deterministic. On the bare figure grid this settles all but
+    one candidate check and about half the `repair` steps. The scan runs
+    oldest first: newest first took seven times the nodes to lower 7 and
+    ended the figure grid at upper 25, and a memory consulted by `repair`
+    alone kept the cuts unchanged but raised the summed upper bound over
+    eight isomorphs of the grid from 192 to 196. Revealed sets with no
+    alternate are not remembered: to lower 7 on the figure grid they would
+    settle 22 searches worth 217 of 12,216 nodes.
     """
     universe = frozenset(range(len(target)))
-    find_diff = partial(_alternate_diff, target, alternate, budget)
+    search = partial(_alternate_diff, target, alternate, budget)
+    found: list[frozenset] = []  # every diff searched, in discovery order
+
+    def find_diff(revealed: frozenset) -> Optional[frozenset]:
+        for diff in found:
+            if diff.isdisjoint(revealed):
+                return diff
+        diff = search(revealed)
+        if diff is not None:
+            found.append(diff)
+        return diff
+
     cuts: list[frozenset] = list(seeds)
     # a disjoint packing of the seeds, then a disjoint packing of the seeds
     # each candidate misses, and every loop cut
@@ -395,7 +422,10 @@ class FcpInstance:
     every revealed index, or None when none exists, and the loop rejects an
     answer that breaks this with ValueError. It should stop with
     SearchInterrupted once it has searched `budget`, and report its search
-    nodes in `stats`, which the loop charges to the solve's budget.
+    nodes in `stats`, which the loop charges to the solve's budget. The
+    loop keeps every certificate it returns and calls it only for a
+    revealed set on which none of them agrees with the target, so a finder
+    is never asked a question an earlier answer settles.
     """
 
     target: tuple

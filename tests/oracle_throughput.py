@@ -14,15 +14,21 @@ completion search that moves one node count, one alternate or one cut
 shows here; `tests/test_solver.py` checks the same pin.
 
 It also splits the oracle's calls, nodes and seconds between those made
-inside `solver._shrink` and the rest (candidate checks and `repair`), and
-times `find_alternate` on the 16x16 shift grid with no clue, the largest
+inside `solver._shrink` and the rest (candidate checks and `repair`); in a
+second, untimed run of the same solve it counts, for each of the loop's
+three callers (`_shrink`, `repair`, candidate checks), the queries answered
+from the alternates already found and those that searched the oracle. Last
+it times `find_alternate` on the 16x16 shift grid with no clue, the largest
 unit table, where propagation skips the most unit scans.
 """
 from __future__ import annotations
 
 import hashlib
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from time import perf_counter
+from typing import NamedTuple, Optional
 
 from conftest import FIG_GRID_TEXT
 from minclue import (
@@ -43,7 +49,58 @@ from test_grid import TestBigBoards
 CONFIG = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000))
 
 # status, lower, upper, iterations, nodes, and the digest of the cuts in order
-PIN = ("bounds_only", 10, 23, 51, 200_001, "7f0899900823744f")
+PIN = ("bounds_only", 10, 24, 48, 200_001, "eda9799b33ea0de8")
+
+
+class Query(NamedTuple):
+    """One query of the loop: who asked, the revealed indices, the diff
+    returned (None when no alternate exists or the search was interrupted)
+    and whether the oracle was searched rather than the earlier answers."""
+
+    caller: str
+    revealed: frozenset
+    answer: Optional[frozenset]
+    searched: bool
+
+
+# the loop's query function, a closure of `_ihs_loop`, and its callers named
+# by the code that calls it
+FIND_DIFF = next(
+    code
+    for code in solver._ihs_loop.__code__.co_consts
+    if getattr(code, "co_name", None) == "find_diff"
+)
+CALLERS = {
+    "<lambda>": "`_shrink` trials",
+    "repair": "`repair` steps",
+    "_ihs_loop": "candidate checks",
+}
+
+
+@contextmanager
+def recorded_queries(events: list):
+    """Append a `Query` to `events` for every query the loop makes while
+    active. It watches calls through a profile hook, so it slows the
+    solve: time nothing inside it."""
+    open_queries: list[list] = []
+    search = solver._alternate_diff.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is FIND_DIFF:
+            caller = CALLERS[frame.f_back.f_code.co_name]
+            open_queries.append([caller, frame.f_locals["revealed"], False])
+        elif event == "call" and frame.f_code is search and open_queries:
+            open_queries[-1][2] = True
+        elif event == "return" and frame.f_code is FIND_DIFF:
+            caller, revealed, searched = open_queries.pop()
+            events.append(Query(caller, revealed, arg, searched))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield events
+    finally:
+        sys.setprofile(previous)
 
 
 def outcome(result: MscpResult) -> tuple:
@@ -132,6 +189,15 @@ def main() -> int:
         print(
             f"- oracle {where} `_shrink`: {part_calls} calls, {part_nodes} nodes, "
             f"{part_seconds:.3f} s"
+        )
+    queries: list[Query] = []
+    with recorded_queries(queries):
+        solve_mscp(grid, CONFIG)
+    counts = Counter((q.caller, q.searched) for q in queries)
+    for caller in CALLERS.values():
+        print(
+            f"- {caller}: {counts[caller, False]} answered from earlier alternates, "
+            f"{counts[caller, True]} searched"
         )
     shift_nodes, shift_seconds = shift16_alternate()
     print(

@@ -145,7 +145,7 @@ class TestSolve:
         # the budget ends before the loop proves an optimum: both bounds print
         g = write(tmp_path / "fig.txt", FIG_GRID_TEXT)
         assert main(["solve", g, "--seed-cuts", "0", "--budget", "3000n"]) == 0
-        assert capsys.readouterr().out == "fig.txt:1: bounds_only lower=1 upper=28\n"
+        assert capsys.readouterr().out == "fig.txt:1: bounds_only lower=3 upper=28\n"
 
     def test_missing_grid_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.txt")]) == 1

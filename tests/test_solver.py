@@ -22,6 +22,7 @@ from minclue import (
     UnavoidableSet,
     disjoint_packing_bound,
     fcp_solve,
+    find_alternate,
     generate_all,
     grid_fingerprint,
     is_unavoidable,
@@ -112,6 +113,15 @@ class TestSolveMscp4x4:
             allowed = set(oracle_minimal_sets[idx])
             got = {s.as_frozenset() for s in result.certificate.sets}
             assert got <= allowed, idx
+
+    def test_certificate_members_pass_the_public_checks(self, grid4_objects):
+        # cuts shrunk with remembered alternates are still checked by the
+        # public searches, not by the loop
+        for grid in grid4_objects[::29]:
+            result = solve_mscp(grid, MscpConfig(initial_cuts=0))
+            for member in result.certificate:
+                assert is_unavoidable(grid, member.cells)
+                assert minimalize(grid, member.cells) == member
 
     def test_rerun_is_identical(self, grid4_objects):
         def run():
@@ -317,15 +327,21 @@ class TestBudgetedSolve:
         assert 1 <= result.lower_bound <= 17 <= result.upper_bound
         assert result.trace[-1].lower == result.lower_bound
 
+    def test_figure_grid_reaches_lower_7_within_13000_nodes(self, figure_grid):
+        # the hitting set proves 7 after 12,216 nodes and 282 oracle searches,
+        # so the interrupted solve keeps that bound
+        cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=13_000))
+        assert solve_mscp(figure_grid, cfg).lower_bound >= 7
+
     def test_figure_grid_node_budget_reaches_lower_9(self, figure_grid):
-        # BOUNDS_ONLY 10/23 after 51 iterations and 200,001 nodes, with the
+        # BOUNDS_ONLY 10/24 after 48 iterations and 200,001 nodes, with the
         # cuts in a pinned order: a change in any search shows here
         result = solve_mscp(figure_grid, oracle_throughput.CONFIG)
         assert oracle_throughput.outcome(result) == oracle_throughput.PIN
         assert 9 <= result.lower_bound <= 17 <= result.upper_bound
         assert verify_validity(figure_grid, result.best_pattern)
         # each cut is checked by the public searches, not by the loop
-        assert len(result.certificate) == 50
+        assert len(result.certificate) == 47
         for member in result.certificate:
             assert is_unavoidable(figure_grid, member.cells)
             assert minimalize(figure_grid, member.cells) == member
@@ -444,3 +460,58 @@ class TestOracleChecks:
         square = next(iter(oracle.latin4()))
         with pytest.raises(SearchInterrupted):
             fcp_solve(latin_square_fcp_instance(square), SearchBudget(max_nodes=0))
+
+
+class TestAnswerMemory:
+    """The loop answers each query with the oldest alternate found so far
+    that agrees with the target on the revealed set, and calls the finder
+    only when none does."""
+
+    @staticmethod
+    def check(target, finder) -> MscpStatus:
+        events = []
+
+        def recording(revealed, budget, stats):
+            alt = finder(revealed, budget, stats)
+            diff = None if alt is None else frozenset(
+                i for i, (a, b) in enumerate(zip(alt, target)) if a != b
+            )
+            events.append((revealed, diff))
+            return alt
+
+        with oracle_throughput.recorded_queries(events):
+            result = fcp_solve(FcpInstance(target, recording))
+        found, searched, from_memory = [], None, 0
+        for event in events:
+            if isinstance(event, oracle_throughput.Query):
+                if event.searched:
+                    assert event.answer == searched
+                else:
+                    # the earliest remembered diff that avoids the revealed set
+                    fits = [diff for diff in found if not diff & event.revealed]
+                    assert fits and event.answer == fits[0]
+                    from_memory += 1
+                continue
+            revealed, searched = event
+            # no earlier alternate agrees with the target on this revealed set
+            assert all(diff & revealed for diff in found)
+            if searched is not None:
+                found.append(searched)
+        assert from_memory > 0
+        return result.status
+
+    @pytest.mark.parametrize("idx", range(0, 288, 29))
+    def test_sudoku_4x4(self, grid4_objects, idx):
+        grid = grid4_objects[idx]
+
+        def finder(revealed, budget, stats):
+            pattern = CluePattern(grid.size, [i in revealed for i in range(16)])
+            alt = find_alternate(grid, pattern, budget, stats)
+            return None if alt is None else alt.entries
+
+        assert self.check(grid.entries, finder) is MscpStatus.OPTIMAL
+
+    def test_back_circulant_4(self):
+        square = [(r + c) % 4 + 1 for r in range(4) for c in range(4)]
+        instance = latin_square_fcp_instance(square)
+        assert self.check(instance.target, instance.alternate_finder) is MscpStatus.OPTIMAL
