@@ -26,7 +26,6 @@ import logging
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from math import isqrt
 from time import perf_counter
 from typing import Callable, Optional, Sequence
@@ -45,6 +44,7 @@ from .engine import (
 from .grid import CluePattern, Grid, _Geometry, _check_entries, apply_pattern
 from .hitting import HittingInstance, _disjoint, min_hitting_set
 from .unavoidable import (
+    CorruptCollectionError,
     GenerationLimits,
     NotUnavoidableError,
     SetRecord,
@@ -85,7 +85,8 @@ class MscpInternalError(RuntimeError):
 class MscpConfig:
     """Options of one solve_mscp run: the first `initial_cuts` seed cuts of
     at most `max_cut_size` cells (no cap when None) from `seed_collection`,
-    or else from the generator; `solve_budget` covers the whole run."""
+    whose sets must be minimal unavoidable sets, or else from the
+    generator; `solve_budget` covers the whole run."""
 
     initial_cuts: int = 1000
     max_cut_size: Optional[int] = None
@@ -211,13 +212,17 @@ def _ihs_loop(
 ) -> FcpResult:
     """Implicit hitting-set loop over the indices 0..len(target)-1.
 
-    `seeds` are index sets known to be unavoidable. The hitting sets are
-    solved over a family that starts as a disjoint packing of the seeds and
-    takes in seeds only as candidates miss them, so a long seed list costs
-    only what its optimum needs; each iteration still hands the oracle the
-    first minimum hitting set of all cuts in search order. Trace times count
-    from the start of `budget`; iteration i is always `trace[i - 1]`, and a
-    cut the loop adds in iteration i is `certificate[len(seeds) + i - 1]`.
+    `seeds` are minimal index sets known to be unavoidable. Each round
+    solves one hitting set over a family that starts as a disjoint packing
+    of the seeds and takes in seeds only as candidates miss them, so a long
+    seed list costs only what its optimum needs. A candidate that misses
+    seeds adds a disjoint packing of them, is repaired, and the next round
+    solves again; a candidate that hits every cut goes to the oracle. That
+    candidate is a minimum hitting set of all cuts: it hits them, and its
+    size is the optimum over the family, a subfamily of the cuts, so no
+    hitting set of all cuts is smaller. Trace times count from the start of
+    `budget`; iteration i is always `trace[i - 1]`, and a cut the loop adds
+    in iteration i is `certificate[len(seeds) + i - 1]`.
 
     Every query (candidate check, `_shrink` trial, `repair` step) is first
     answered from the diffs of the alternates found so far: the oldest one
@@ -234,14 +239,13 @@ def _ihs_loop(
     settle 22 searches worth 217 of 12,216 nodes.
     """
     universe = frozenset(range(len(target)))
-    search = partial(_alternate_diff, target, alternate, budget)
     found: list[frozenset] = []  # every diff searched, in discovery order
 
     def find_diff(revealed: frozenset) -> Optional[frozenset]:
         for diff in found:
             if diff.isdisjoint(revealed):
                 return diff
-        diff = search(revealed)
+        diff = _alternate_diff(target, alternate, budget, revealed)
         if diff is not None:
             found.append(diff)
         return diff
@@ -252,27 +256,15 @@ def _ihs_loop(
     family = _disjoint(cuts)
     incumbent = universe
     upper = len(incumbent)
-    # sound before any exact solve, so a loop stopped early still reports it
-    lower = len(family)
+    lower = 0
     trace: list[TraceEntry] = []
-    iteration = 0
+    iteration = 1  # the round in progress
     last_repair_lower = -1
     status = MscpStatus.INTERRUPTED  # until the first exact hitting set
 
     def note(it: int) -> None:
         trace.append(
             TraceEntry(it, lower, upper, len(cuts), perf_counter() - budget.started)
-        )
-
-    def solve(members: list[frozenset], upper_hint: int, lower_hint: int):
-        return budget.spend(
-            lambda share, stats: min_hitting_set(
-                HittingInstance.build(universe, members),
-                upper_hint=upper_hint,
-                budget=share,
-                stats=stats,
-                lower_hint=lower_hint,
-            )
         )
 
     def repair(candidate: frozenset, diff: frozenset) -> None:
@@ -290,37 +282,31 @@ def _ihs_loop(
             incumbent = frozenset(cells)
             upper = len(cells)
 
-    def hitting_set() -> frozenset:
-        """The first minimum hitting set of `cuts` in search order, found
-        over `family`: each optimum over it is a lower bound, and a candidate
-        that misses seeds is repaired and adds a packing of them."""
-        nonlocal lower, status
+    try:
         while True:
-            solution = solve(family, upper, lower)
+            solution = budget.spend(
+                lambda share, stats: min_hitting_set(
+                    HittingInstance.build(universe, family),
+                    upper_hint=upper,
+                    budget=share,
+                    stats=stats,
+                    lower_hint=lower,
+                )
+            )
             if not solution.proven_optimal:
                 lower = max(lower, solution.lower_bound)
                 raise SearchInterrupted("hitting set", budget.nodes)
             status = MscpStatus.BOUNDS_ONLY
             if solution.value < lower:
-                raise MscpInternalError(
-                    "hitting-set optimum decreased as the family grew"
-                )
+                raise MscpInternalError("hitting-set optimum decreased as the family grew")
             lower = solution.value
-            missed = [cut for cut in cuts if not cut & solution.cells]
-            if not missed:
-                break
-            family.extend(_disjoint(missed))
-            # a missed seed holds the diff of an alternate the candidate allows
-            repair(solution.cells, missed[0])
-        if family != cuts:
-            # with the optimum known this search only finds its first witness
-            solution = solve(cuts, lower, lower)
-        return solution.cells
-
-    try:
-        while True:
-            iteration += 1
-            candidate = hitting_set()
+            candidate = solution.cells
+            missed = [cut for cut in cuts if not cut & candidate]
+            if missed:
+                family.extend(_disjoint(missed))
+                # a missed seed holds the diff of an alternate the candidate allows
+                repair(candidate, missed[0])
+                continue
             log.debug(
                 "iteration %d: lower=%d upper=%d cuts=%d",
                 iteration,
@@ -343,6 +329,7 @@ def _ihs_loop(
             family.append(cut)
             repair(candidate, diff)
             note(iteration)
+            iteration += 1
         status = MscpStatus.OPTIMAL
     except SearchInterrupted:
         # cuts added since the last exact solve still bound the optimum
@@ -360,9 +347,11 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     Runs the hitting-set loop over g's cells in row-major index order; its
     oracle asks the propagating search for an alternate directly, as
     `find_alternate` does. The cut family is seeded from
-    `config.seed_collection`, whose sets are each checked to be unavoidable
-    first, or else from the unavoidable-set generator, which may spend at
-    most half of the time and half of the nodes of the budget. One clock
+    `config.seed_collection`, or else from the unavoidable-set generator,
+    which may spend at most half of the time and half of the nodes of the
+    budget. A supplied seed with no alternate inside it raises
+    NotUnavoidableError, and one whose alternate differs on fewer cells is
+    not minimal and raises CorruptCollectionError. One clock
     runs from the call: trace times and the `seconds` of each loop cut
     include the seeding time. The result's certificate collection contains
     every cut used, each a minimal unavoidable set of g.
@@ -387,9 +376,15 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
             cap = cfg.max_cut_size or len(cells)
             fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
             for rec in fits[: cfg.initial_cuts]:
-                outside = frozenset(range(len(cells))) - {index(c) for c in rec.cells}
-                if _alternate_diff(g.entries, alternate, budget, outside) is None:
+                inside = frozenset(index(c) for c in rec.cells)
+                diff = _alternate_diff(
+                    g.entries, alternate, budget, frozenset(range(len(cells))) - inside
+                )
+                if diff is None:
                     raise NotUnavoidableError(f"seed set {rec.cells} is not unavoidable")
+                # the diff is unavoidable too, so a minimal seed is all of it
+                if diff != inside:
+                    raise CorruptCollectionError(f"seed set {rec.cells} is not minimal")
                 certificate.add(rec)
     log.debug("seeded %d cuts in %.2fs", len(certificate), perf_counter() - budget.started)
     seeds = [frozenset(index(c) for c in rec.cells) for rec in certificate.records]

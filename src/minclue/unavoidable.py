@@ -111,10 +111,12 @@ class SetRecord:
 class UnavoidableCollection:
     """Insertion-ordered store of minimal unavoidable sets of one grid.
 
-    Members form an antichain (no member contains another); violated inserts
-    raise CorruptCollectionError, and a cell off the n x n board raises
-    GridError. `complete` is False when generation was cut short by a limit
-    rather than exhausting the requested size range.
+    Members must be minimal, but the store checks only that they form an
+    antichain (no member contains another); violated inserts raise
+    CorruptCollectionError, and a cell off the n x n board raises GridError.
+    solve_mscp rejects a seed set it finds not minimal. `complete` is False
+    when generation was cut short by a limit rather than exhausting the
+    requested size range.
     """
 
     def __init__(self, fingerprint: str, n: int, complete: bool = True):

@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from conftest import FIG_GRID_TEXT, FIG_PUZZLE_TEXT
+from minclue import GridSize, grid_fingerprint, parse_grid
 from minclue.cli import RESULT_FIELDS, bucket_label, bucket_table, main, parse_budget
 
 
@@ -193,12 +194,35 @@ class TestSolve:
         with open(results) as fh:
             assert next(csv.DictReader(fh))["status"] == "error:NotUnavoidableError"
 
+    def test_cuts_file_with_non_minimal_set_fails(self, tmp_path, capsys):
+        # a minimal set of the grid and one more cell: the seed check rejects
+        # it before the loop can shrink a cut strictly inside it
+        text = "1234341221434321"
+        fingerprint = grid_fingerprint(parse_grid(text, GridSize.of_side(4)))
+        grid_file = write(tmp_path / "g.txt", text)
+        cuts = write(
+            tmp_path / "g.unav",
+            f"MSCPUNAV v1 n=4 fingerprint={fingerprint} complete=1",
+            "m=5: 1,1 3,2 3,4 4,2 4,4",
+        )
+        results = tmp_path / "results.csv"
+        code = main(
+            ["solve", grid_file, "--cuts-file", cuts, "--results-csv", str(results)]
+        )
+        assert code == 1
+        assert "is not minimal" in capsys.readouterr().out
+        with open(results) as fh:
+            assert next(csv.DictReader(fh))["status"] == "error:CorruptCollectionError"
+
+    def test_file_of_comments_only(self, tmp_path, capsys):
+        path = write(tmp_path / "notes.txt", "# no grid here", "", "# nor here")
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().out == f"ERROR no instances found in {path}\n"
+
 
 def single_cell_cuts(tmp_path, board):
     """A grid file and a collection with its fingerprint holding the four
     cells of row 1 as one-cell sets, none of them unavoidable."""
-    from minclue import GridSize, grid_fingerprint, parse_grid
-
     text = "".join(str(v) for v in board)
     fingerprint = grid_fingerprint(parse_grid(text, GridSize.of_side(4)))
     cuts = write(
@@ -364,6 +388,9 @@ class TestBudgetParsing:
         assert parse_budget("500n").max_nodes == 500
         b = parse_budget("30s,1000n")
         assert b.max_time == 30.0 and b.max_nodes == 1000
+        # an empty part, as a trailing comma leaves, is skipped
+        b = parse_budget("60s,")
+        assert b.max_time == 60.0 and b.max_nodes is None
 
     def test_determinism_under_node_budget(self, tmp_path, grids4, capsys):
         grid_file = write(tmp_path / "g.txt", "".join(str(v) for v in grids4[77]))

@@ -226,6 +226,26 @@ class TestApplyPattern:
             )
 
 
+class TestValueSemantics:
+    def test_boards_compare_by_class_size_and_entries(self, size4):
+        text = "1234341221434321"
+        grid = parse_grid(text, size4)
+        assert repr(grid) == "Grid(4x4, '1234341221434321')"
+        same = parse_grid(text, size4)
+        assert grid == same and hash(grid) == hash(same)
+        assert grid != parse_puzzle(text, size4)
+        assert grid != parse_grid("1234342121434312", size4)
+
+    def test_patterns_compare_by_size_and_mask(self, size4):
+        pattern = CluePattern.no_cells(size4)
+        assert repr(pattern) == "CluePattern(4x4, 0 cells)"
+        assert pattern == CluePattern(size4, [False] * 16)
+        assert hash(pattern) == hash(CluePattern(size4, [False] * 16))
+        assert pattern != CluePattern.all_cells(size4)
+        assert pattern != CluePattern.no_cells(GridSize.of_side(9))
+        assert pattern != pattern.mask
+
+
 class TestBigBoards:
     @staticmethod
     def shift_grid(n):

@@ -179,6 +179,16 @@ class TestInterrupt:
         assert cut.lower_bound <= full.value <= cut.value
         assert all(cut.cells & member for member in fam)
 
+    def test_no_node_falls_back_to_greedy(self):
+        # a budget of no node finds no incumbent: the cells come from a greedy
+        # pass, each unhit member adding its lowest cell
+        fam = [{i, (i + 1) % 6} for i in range(6)]
+        inst = HittingInstance.build(range(6), fam)
+        cut = min_hitting_set(inst, budget=SearchBudget(max_nodes=0))
+        assert cut.cells == {0, 1, 2, 3, 4} and cut.value == 5
+        assert not cut.proven_optimal and cut.lower_bound == 3
+        assert all(cut.cells & member for member in fam)
+
 
 class TestFigureFamilyPin:
     def test_optimum_and_interrupt_match_the_pins(self):

@@ -2,14 +2,17 @@ import pytest
 
 import oracle
 import oracle_throughput
+import seeded_sweep
 from conftest import GREEN
 from minclue import (
     Cell,
     CluePattern,
     ConstraintViolationError,
+    CorruptCollectionError,
     FcpInstance,
     FingerprintMismatchError,
     GenerationLimits,
+    GridSize,
     HittingInstance,
     IllegalCharacterError,
     LengthMismatchError,
@@ -30,6 +33,7 @@ from minclue import (
     load_collection,
     min_hitting_set,
     minimalize,
+    parse_grid,
     save_collection,
     solve_mscp,
     verify_validity,
@@ -82,19 +86,33 @@ class TestSolveMscp4x4:
         assert bare.upper_bound == seeded.upper_bound
         assert bare.status is seeded.status is MscpStatus.OPTIMAL
 
-    def test_seeded_pattern_is_the_first_minimum_hitting_set(self, grid4_objects):
+    def test_seeded_pattern_is_a_minimum_hitting_set_of_every_cut(self, grid4_objects):
         # the loop takes seeds into its family only as candidates miss them,
-        # yet the pattern it returns is the one a solve over every seed finds
+        # yet the pattern it returns hits every seed with the fewest cells
         for grid in grid4_objects[::2]:
             result = solve_mscp(grid, MscpConfig())
             assert result.iterations == 1
-            seeds = [
-                frozenset(grid.size.index(c) for c in s) for s in result.certificate.sets
-            ]
-            first = min_hitting_set(HittingInstance.build(range(16), seeds))
-            assert result.best_pattern.cells() == [
-                grid.size.all_cells()[i] for i in sorted(first.cells)
-            ]
+            pattern = set(result.best_pattern.cells())
+            members = [s.as_frozenset() for s in result.certificate.sets]
+            assert all(member & pattern for member in members)
+            best = min_hitting_set(HittingInstance.build(grid.size.all_cells(), members))
+            assert result.best_pattern.cardinality() == best.value
+            assert verify_validity(grid, result.best_pattern)
+
+    def test_each_hitting_set_family_extends_the_last(self, grid4_objects):
+        # one solve per round, each over the family of the round before with
+        # members added at its end
+        for k, grid in enumerate(grid4_objects[::2]):
+            families: list = []
+            with seeded_sweep.counted_solves(families):
+                solve_mscp(grid, MscpConfig())
+            for before, after in zip(families, families[1:]):
+                assert len(before) < len(after) and after[: len(before)] == before, k
+
+    def test_seeded_sweep_pin(self):
+        # iterations, hitting-set solves, nodes and every result of the
+        # seeded 4x4 sweep, as tests/seeded_sweep.py prints them
+        assert seeded_sweep.sweep() == seeded_sweep.PIN
 
     def test_trace_is_monotone(self, grid4_objects):
         result = solve_mscp(grid4_objects[31], MscpConfig(initial_cuts=0))
@@ -209,6 +227,25 @@ class TestSuppliedSeeds:
         loaded = load_collection(path, grid)
         with pytest.raises(NotUnavoidableError):
             solve_mscp(grid, MscpConfig(initial_cuts=6, seed_collection=loaded))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # a minimal set and one more cell
+            [Cell(1, 1)],
+            # two minimal sets that share no cell
+            [Cell(3, 1), Cell(3, 3), Cell(4, 1), Cell(4, 3)],
+        ],
+    )
+    def test_non_minimal_seed_is_rejected(self, extra):
+        # the loop could shrink a cut strictly inside such a seed, which the
+        # certificate's antichain check would reject mid-solve
+        grid = parse_grid("1234341221434321", GridSize.of_side(4))
+        cells = [Cell(3, 2), Cell(3, 4), Cell(4, 2), Cell(4, 4), *extra]
+        coll = UnavoidableCollection(grid_fingerprint(grid), 4)
+        coll.add(SetRecord(UnavoidableSet(cells), 0.0))
+        with pytest.raises(CorruptCollectionError, match="is not minimal"):
+            solve_mscp(grid, MscpConfig(seed_collection=coll))
 
     def test_budget_ending_mid_check_drops_unchecked_seeds(self, grid4_objects):
         grid = grid4_objects[0]
@@ -375,7 +412,7 @@ class TestFcp:
         assert result.upper_bound == want
 
     # the back-circulant square B_n has smallest critical set floor(n^2 / 4)
-    # (Curran & van Rees, 1978); B_5 takes 73,051 nodes and B_6 6,333
+    # (Curran & van Rees, 1978); B_5 takes 67,968 nodes and B_6 6,489
     @pytest.mark.parametrize("n, want", [(5, 6), (6, 9)])
     def test_back_circulant_critical_set(self, n, want):
         square = [(r + c) % n + 1 for r in range(n) for c in range(n)]

@@ -265,6 +265,25 @@ class TestCollectionIO:
         loaded = load_collection(path, grid4_objects[9])
         assert loaded == coll
 
+    def test_collection_value_semantics(self, grid4_objects):
+        def collection(grid, records):
+            coll = UnavoidableCollection(grid_fingerprint(grid), 4, complete=False)
+            for rec in records:
+                coll.add(rec)
+            return coll
+
+        records = generate_all(grid4_objects[9], GenerationLimits(max_sets=3)).records
+        coll = collection(grid4_objects[9], records)
+        assert repr(coll) == "UnavoidableCollection(n=4, sets=3, complete=False)"
+        assert coll == collection(grid4_objects[9], records)
+        assert coll != collection(grid4_objects[10], records)
+        assert coll != collection(grid4_objects[9], records[:2])
+        assert coll != coll.family()
+        with pytest.raises(TypeError):
+            hash(coll)  # a collection grows with add, so it is not hashable
+        first = coll.sets[0]
+        assert first.cells[0] in first and Cell(4, 4) not in first
+
     def test_fingerprint_mismatch(self, grid4_objects, tmp_path):
         coll = generate_all(grid4_objects[9], GenerationLimits(max_sets=3))
         path = tmp_path / "sets.unav"
