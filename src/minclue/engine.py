@@ -168,9 +168,14 @@ class _State:
 
 
 def _completions(
-    state: _State, ticker: _Ticker, target: Optional[Sequence[int]] = None
+    geo: _Geometry,
+    entries: Sequence[int],
+    budget: Optional[SearchBudget],
+    stats: Optional[SearchStats],
+    target: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration core shared by every completion search.
+    """The completions of `entries` (0 = open) under one budget: the
+    depth-first search shared by every completion query.
 
     Forced placements (a cell with one candidate, a digit with one home in a
     unit) are applied before branching on the most-constrained cell, trying
@@ -178,6 +183,7 @@ def _completions(
     ascending. Yields the entry tuple of each completion in search order; a
     caller that has what it needs stops consuming, so the search does no
     further work. A search that runs out visits one tree in either order.
+    `stats` is filled when the search ends, fails or is closed.
 
     Candidate table: `state.cands[i]` is the digit mask open cell i can
     still take, 0 once it is assigned. Every placement, forced or branch,
@@ -199,7 +205,8 @@ def _completions(
     and unit each round (`tests/reference_completions.py`). Both are clear
     at the fixpoint a frame saved, so it clears both when it restores it.
     """
-    geo = state.geo
+    ticker = _Ticker(budget)
+    state = _State(geo, entries)
     values, used, cands = state.values, state.used, state.cands
     empties = state.empties
     slots, members, peers, units = geo.slots, geo.members, geo.peers, geo.units
@@ -296,22 +303,8 @@ def _completions(
             touched, narrowed = 0, False
             bit = cand & -cand
 
-    return search()
-
-
-def _solutions(
-    geo: _Geometry,
-    entries: Sequence[int],
-    budget: Optional[SearchBudget],
-    stats: Optional[SearchStats],
-    target: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[int, ...]]:
-    """The completions of `entries` (0 = open) in search order under one
-    budget, `target`'s digits first; `stats` is filled when the search
-    ends, fails or is closed."""
-    ticker = _Ticker(budget)
     try:
-        yield from _completions(_State(geo, entries), ticker, target)
+        yield from search()
     finally:
         ticker.record(stats)
 
@@ -334,7 +327,7 @@ def count_solutions(
     if limit < 1:
         raise ValueError("limit must be positive")
     geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
-    with closing(_solutions(geo, puzzle.entries, budget, stats)) as completions:
+    with closing(_completions(geo, puzzle.entries, budget, stats)) as completions:
         return sum(1 for _ in islice(completions, limit))
 
 
@@ -346,7 +339,7 @@ def iter_solutions(
     """Lazily enumerate every completion of the puzzle as Grid objects, in
     the same search order as solve_puzzle and count_solutions."""
     geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
-    with closing(_solutions(geo, puzzle.entries, budget, stats)) as completions:
+    with closing(_completions(geo, puzzle.entries, budget, stats)) as completions:
         for values in completions:
             yield Grid(puzzle.size, values)
 
@@ -358,7 +351,7 @@ def solve_puzzle(
 ) -> Optional[Grid]:
     """First completion in search order, or None when unsatisfiable."""
     geo = _Geometry.get(puzzle.size.n, puzzle.size.s)
-    values = _first(_solutions(geo, puzzle.entries, budget, stats))
+    values = _first(_completions(geo, puzzle.entries, budget, stats))
     return None if values is None else Grid(puzzle.size, values)
 
 
@@ -377,7 +370,7 @@ def find_alternate(
     """
     geo = _Geometry.get(grid.size.n, grid.size.s)
     entries = _masked_entries(grid, pattern)
-    values = _first(_solutions(geo, entries, budget, stats, grid.entries), skip=1)
+    values = _first(_completions(geo, entries, budget, stats, grid.entries), skip=1)
     return None if values is None else Grid(grid.size, values)
 
 

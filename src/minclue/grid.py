@@ -369,11 +369,14 @@ def iter_instance_lines(path) -> Iterator[tuple[int, str]]:
     """Yield (line_number, instance_token) from a grid/puzzle file.
 
     One instance per line; anything after the first whitespace is a comment.
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped. A file that is not
+    UTF-8 text raises IllegalCharacterError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped.split()[0]
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    yield lineno, stripped.split()[0]
+        except UnicodeDecodeError as exc:
+            raise IllegalCharacterError(f"{path} is not UTF-8 text: {exc.reason}") from None

@@ -35,8 +35,8 @@ from .engine import (
     SearchInterrupted,
     SearchStats,
     _Ticker,
+    _completions,
     _first,
-    _solutions,
     count_solutions,
     # not called here; perfbench/tracing.py wraps this module's name for it
     find_alternate,
@@ -46,12 +46,12 @@ from .hitting import HittingInstance, _disjoint, min_hitting_set
 from .unavoidable import (
     CorruptCollectionError,
     GenerationLimits,
-    NotUnavoidableError,
     SetRecord,
     UnavoidableCollection,
     UnavoidableSet,
     generate_all,
     grid_fingerprint,
+    minimalize,
 )
 
 __all__ = [
@@ -85,8 +85,8 @@ class MscpInternalError(RuntimeError):
 class MscpConfig:
     """Options of one solve_mscp run: the first `initial_cuts` seed cuts of
     at most `max_cut_size` cells (no cap when None) from `seed_collection`,
-    whose sets must be minimal unavoidable sets, or else from the
-    generator; `solve_budget` covers the whole run."""
+    whose sets must be minimal unavoidable sets, checked by `minimalize`,
+    or else from the generator; `solve_budget` covers the whole run."""
 
     initial_cuts: int = 1000
     max_cut_size: Optional[int] = None
@@ -199,7 +199,7 @@ def _table_alternate(geo: _Geometry, target: tuple) -> _Alternate:
 
     def alternate(revealed: frozenset, budget: SearchBudget, stats: SearchStats):
         entries = [v if i in revealed else 0 for i, v in enumerate(target)]
-        return _first(_solutions(geo, entries, budget, stats, target), skip=1)
+        return _first(_completions(geo, entries, budget, stats, target), skip=1)
 
     return alternate
 
@@ -263,9 +263,9 @@ def _ihs_loop(
     status = MscpStatus.INTERRUPTED  # until the first exact hitting set
 
     def note(it: int) -> None:
-        trace.append(
-            TraceEntry(it, lower, upper, len(cuts), perf_counter() - budget.started)
-        )
+        fields = it, lower, upper, len(cuts), perf_counter() - budget.started
+        trace.append(TraceEntry(*fields))
+        log.info("iteration %d: lower=%d upper=%d cuts=%d elapsed=%.3fs", *fields)
 
     def repair(candidate: frozenset, diff: frozenset) -> None:
         # once per lower bound: reveal a cell of each diff until unique; each
@@ -307,13 +307,6 @@ def _ihs_loop(
                 # a missed seed holds the diff of an alternate the candidate allows
                 repair(candidate, missed[0])
                 continue
-            log.debug(
-                "iteration %d: lower=%d upper=%d cuts=%d",
-                iteration,
-                lower,
-                upper,
-                len(cuts),
-            )
             if lower >= upper:
                 break
             diff = find_diff(candidate)
@@ -349,12 +342,14 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     `find_alternate` does. The cut family is seeded from
     `config.seed_collection`, or else from the unavoidable-set generator,
     which may spend at most half of the time and half of the nodes of the
-    budget. A supplied seed with no alternate inside it raises
-    NotUnavoidableError, and one whose alternate differs on fewer cells is
-    not minimal and raises CorruptCollectionError. One clock
-    runs from the call: trace times and the `seconds` of each loop cut
-    include the seeding time. The result's certificate collection contains
-    every cut used, each a minimal unavoidable set of g.
+    budget. A supplied collection of another grid raises
+    FingerprintMismatchError. Each supplied seed used is checked by
+    `minimalize` under the solve's budget: one that is not unavoidable
+    raises NotUnavoidableError, and one that it shrinks is not minimal and
+    raises CorruptCollectionError. One clock runs from the call: trace
+    times and the `seconds` of each loop cut include the seeding time. The
+    result's certificate collection contains every cut used, each a minimal
+    unavoidable set of g.
     """
     cfg = config or MscpConfig()
     budget = _Ticker(cfg.solve_budget)
@@ -363,28 +358,22 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
 
     certificate = UnavoidableCollection(grid_fingerprint(g), g.size.n)
     with suppress(SearchInterrupted):
-        if cfg.initial_cuts > 0 and cfg.seed_collection is None:
+        if cfg.seed_collection is not None:
+            cfg.seed_collection.check_grid(g)
+            cap = cfg.max_cut_size or len(cells)
+            fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
+            for rec in fits[: cfg.initial_cuts]:
+                kept = budget.spend(lambda share, stats: minimalize(g, rec.cells, share, stats))
+                if kept != rec.cells:
+                    raise CorruptCollectionError(f"seed set {rec.cells} is not minimal")
+                certificate.add(rec)
+        elif cfg.initial_cuts > 0:
             limits = GenerationLimits(max_sets=cfg.initial_cuts, max_size=cfg.max_cut_size)
             seeded = budget.spend(
                 lambda share, stats: generate_all(g, limits, stats=stats, budget=share),
                 parts=2,
             )
             for rec in seeded.records:
-                certificate.add(rec)
-        elif cfg.initial_cuts > 0:
-            cfg.seed_collection.check_grid(g)
-            cap = cfg.max_cut_size or len(cells)
-            fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
-            for rec in fits[: cfg.initial_cuts]:
-                inside = frozenset(index(c) for c in rec.cells)
-                diff = _alternate_diff(
-                    g.entries, alternate, budget, frozenset(range(len(cells))) - inside
-                )
-                if diff is None:
-                    raise NotUnavoidableError(f"seed set {rec.cells} is not unavoidable")
-                # the diff is unavoidable too, so a minimal seed is all of it
-                if diff != inside:
-                    raise CorruptCollectionError(f"seed set {rec.cells} is not minimal")
                 certificate.add(rec)
     log.debug("seeded %d cuts in %.2fs", len(certificate), perf_counter() - budget.started)
     seeds = [frozenset(index(c) for c in rec.cells) for rec in certificate.records]

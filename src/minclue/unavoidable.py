@@ -114,7 +114,7 @@ class UnavoidableCollection:
     Members must be minimal, but the store checks only that they form an
     antichain (no member contains another); violated inserts raise
     CorruptCollectionError, and a cell off the n x n board raises GridError.
-    solve_mscp rejects a seed set it finds not minimal. `complete` is False
+    solve_mscp rejects a seed set that `minimalize` shrinks. `complete` is False
     when generation was cut short by a limit rather than exhausting the
     requested size range.
     """
@@ -210,12 +210,15 @@ def minimalize(
     g: Grid,
     cells: Iterable[Cell],
     budget: Optional[SearchBudget] = None,
+    stats: Optional[SearchStats] = None,
 ) -> UnavoidableSet:
     """Shrink an unavoidable set until no single cell can be dropped.
 
     Deletions are attempted from the canonically last cell backwards, so the
     survivor is biased toward the earliest rows and columns. The node and
-    time `budget` covers the whole shrink, every search of it together.
+    time `budget` covers the whole shrink, every search of it together;
+    `stats` gets the nodes of them all, also when the shrink raises
+    NotUnavoidableError or SearchInterrupted.
     """
     ticker = _Ticker(budget)
     full = CluePattern.all_cells(g.size)
@@ -226,12 +229,15 @@ def minimalize(
         return alt is not None
 
     keep = set(cells)
-    if not unavoidable(keep):
-        raise NotUnavoidableError(f"{sorted(keep)} is not unavoidable")
-    for cell in sorted(keep, reverse=True):
-        trial = keep - {cell}
-        if trial and unavoidable(trial):
-            keep = trial
+    try:
+        if not unavoidable(keep):
+            raise NotUnavoidableError(f"{sorted(keep)} is not unavoidable")
+        for cell in sorted(keep, reverse=True):
+            trial = keep - {cell}
+            if trial and unavoidable(trial):
+                keep = trial
+    finally:
+        ticker.record(stats)
     return UnavoidableSet(keep)
 
 

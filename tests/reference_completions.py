@@ -144,7 +144,7 @@ def reference_solutions(
     stats: Optional[SearchStats],
     target: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
-    """`engine._solutions` on the rescanning search."""
+    """`engine._completions` on the rescanning search."""
     ticker = _Ticker(budget)
     try:
         yield from _completions(_State(geo, entries), ticker, target)

@@ -47,6 +47,13 @@ class TestVerify:
         assert main(["verify", g, str(tmp_path / "nope.txt")]) == 1
         assert capsys.readouterr().out.startswith("ERROR ")
 
+    def test_puzzle_file_that_is_not_utf8(self, tmp_path, capsys):
+        g = write(tmp_path / "g.txt", FIG_GRID_TEXT)
+        p = tmp_path / "p.txt"
+        p.write_bytes(FIG_PUZZLE_TEXT.encode() + b"\xff\n")
+        assert main(["verify", g, str(p)]) == 1
+        assert capsys.readouterr().out.startswith(f"ERROR {p} is not UTF-8 text")
+
     def test_instance_counts_differ(self, tmp_path, capsys):
         g = write(tmp_path / "g.txt", FIG_GRID_TEXT, FIG_GRID_TEXT)
         p = write(tmp_path / "p.txt", FIG_PUZZLE_TEXT)
@@ -213,6 +220,32 @@ class TestSolve:
         assert "is not minimal" in capsys.readouterr().out
         with open(results) as fh:
             assert next(csv.DictReader(fh))["status"] == "error:CorruptCollectionError"
+
+    def test_cuts_file_with_set_spanned_by_its_first_alternate_fails(self, tmp_path, capsys):
+        # the seed holds the minimal set 1,1 1,3 2,1 2,3, though the first
+        # alternate inside it differs on all seven cells
+        text = "1234341223414123"
+        fingerprint = grid_fingerprint(parse_grid(text, GridSize.of_side(4)))
+        grid_file = write(tmp_path / "g.txt", text)
+        cuts = write(
+            tmp_path / "g.unav",
+            f"MSCPUNAV v1 n=4 fingerprint={fingerprint} complete=1",
+            "m=7: 1,1 1,3 2,1 2,3 2,4 4,3 4,4",
+        )
+        results = tmp_path / "results.csv"
+        code = main(
+            ["solve", grid_file, "--cuts-file", cuts, "--results-csv", str(results)]
+        )
+        assert code == 1
+        assert "is not minimal" in capsys.readouterr().out
+        with open(results) as fh:
+            assert next(csv.DictReader(fh))["status"] == "error:CorruptCollectionError"
+
+    def test_grid_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1234\n")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(f"ERROR {path} is not UTF-8 text")
 
     def test_file_of_comments_only(self, tmp_path, capsys):
         path = write(tmp_path / "notes.txt", "# no grid here", "", "# nor here")

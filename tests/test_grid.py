@@ -311,6 +311,12 @@ class TestInstanceFiles:
         assert [lineno for lineno, _ in items] == [3, 4]
         assert items[0][1] == FIG_GRID_TEXT
 
+    def test_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("1234341221434321 caf\xe9\n".encode("latin-1"))
+        with pytest.raises(IllegalCharacterError, match="is not UTF-8 text"):
+            list(iter_instance_lines(path))
+
     def test_infer_size(self):
         assert infer_size(FIG_GRID_TEXT).n == 9
         assert infer_size("1234341221434321").n == 4

@@ -26,7 +26,7 @@ from minclue import (
     generate_all,
     solve_mscp,
 )
-from minclue.engine import _DeviationSearch, _first, _solutions, _Ticker
+from minclue.engine import _completions, _DeviationSearch, _first, _Ticker
 from minclue.grid import _Geometry
 import oracle
 from reference_completions import reference_solutions
@@ -99,7 +99,7 @@ def first_completions(solutions, geo, entries, max_nodes, limit, target=None):
 def assert_matches_reference(geo, target, entries, max_nodes, limit=30):
     # in ascending digit order, and trying the target's digit first
     for order in (None, target):
-        got = first_completions(_solutions, geo, entries, max_nodes, limit, order)
+        got = first_completions(_completions, geo, entries, max_nodes, limit, order)
         want = first_completions(reference_solutions, geo, entries, max_nodes, limit, order)
         assert got == want
 
@@ -155,7 +155,7 @@ def every_completion(geo, entries, max_nodes, target=None):
     """All completions of one search in its order and the nodes it
     counted, or None and the nodes when its budget stopped it."""
     stats = SearchStats()
-    completions = _solutions(geo, entries, SearchBudget(max_nodes=max_nodes), stats, target)
+    completions = _completions(geo, entries, SearchBudget(max_nodes=max_nodes), stats, target)
     try:
         with closing(completions):
             return list(completions), stats.nodes
@@ -175,10 +175,10 @@ def assert_target_first_is_exact(geo, target, entries, max_nodes):
     if ordered is not None:
         assert len(ordered) == len(ascending) == len(set(ordered))
         assert set(ordered) == set(ascending)
-    assert _first(_solutions(geo, entries, None, None, target)) == tuple(target)
+    assert _first(_completions(geo, entries, None, None, target)) == tuple(target)
     stats, unique_stats = SearchStats(), SearchStats()
-    if _first(_solutions(geo, entries, None, stats, target), skip=1) is None:
-        assert sum(1 for _ in _solutions(geo, entries, None, unique_stats)) == 1
+    if _first(_completions(geo, entries, None, stats, target), skip=1) is None:
+        assert sum(1 for _ in _completions(geo, entries, None, unique_stats)) == 1
         assert stats.nodes == unique_stats.nodes
 
 

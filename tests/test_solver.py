@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 import oracle
@@ -213,6 +215,19 @@ class TestSolveMscp4x4:
                 MscpConfig(initial_cuts=5, seed_collection=coll),
             )
 
+    def test_seed_collection_wrong_grid_without_seed_cuts(self, grid4_objects):
+        # a collection is checked against the grid even when no seed is used
+        coll = generate_all(grid4_objects[11], GenerationLimits(max_sets=5))
+        with pytest.raises(FingerprintMismatchError):
+            solve_mscp(grid4_objects[12], MscpConfig(initial_cuts=0, seed_collection=coll))
+
+
+def spanned_by_first_alternate(grid, cells):
+    """Whether the first alternate inside `cells` differs on all of them,
+    which one search takes for a minimal set."""
+    alt = find_alternate(grid, CluePattern.all_cells(grid.size).without(cells))
+    return sum(a != b for a, b in zip(alt.entries, grid.entries)) == len(cells)
+
 
 class TestSuppliedSeeds:
     def test_avoidable_seed_is_rejected(self, grid4_objects, tmp_path):
@@ -247,6 +262,35 @@ class TestSuppliedSeeds:
         with pytest.raises(CorruptCollectionError, match="is not minimal"):
             solve_mscp(grid, MscpConfig(seed_collection=coll))
 
+    def test_seed_spanned_by_its_first_alternate_is_rejected(self):
+        # the first alternate inside the seed differs on all seven cells, yet
+        # the seed holds a minimal set; trusted as a cut, it made the loop
+        # find a cut inside it and raise MscpInternalError
+        grid = parse_grid("1234341223414123", GridSize.of_side(4))
+        cells = [Cell(*rc) for rc in ((1, 1), (1, 3), (2, 1), (2, 3), (2, 4), (4, 3), (4, 4))]
+        assert spanned_by_first_alternate(grid, cells)
+        assert minimalize(grid, cells) == UnavoidableSet(cells[:4])
+        coll = UnavoidableCollection(grid_fingerprint(grid), 4)
+        coll.add(SetRecord(UnavoidableSet(cells), 0.0))
+        with pytest.raises(CorruptCollectionError, match="is not minimal"):
+            solve_mscp(grid, MscpConfig(seed_collection=coll))
+
+    def test_every_non_minimal_diff_is_rejected(self, grids4, grid4_objects):
+        # every diff of every 29th 4x4 grid that strictly holds another, as
+        # the only seed; 19 of them are spanned by their first alternate
+        spanned = 0
+        for idx in range(0, len(grids4), 29):
+            grid = grid4_objects[idx]
+            diffs = oracle.diff_masks(list(grids4), idx)
+            for mask in sorted(set(diffs) - set(oracle.minimal_masks(diffs))):
+                cells = [c for i, c in enumerate(grid.size.all_cells()) if mask >> i & 1]
+                spanned += spanned_by_first_alternate(grid, cells)
+                coll = UnavoidableCollection(grid_fingerprint(grid), 4)
+                coll.add(SetRecord(UnavoidableSet(cells), 0.0))
+                with pytest.raises(CorruptCollectionError, match="is not minimal"):
+                    solve_mscp(grid, MscpConfig(seed_collection=coll))
+        assert spanned == 19
+
     def test_budget_ending_mid_check_drops_unchecked_seeds(self, grid4_objects):
         grid = grid4_objects[0]
         coll = generate_all(grid, GenerationLimits(max_sets=10))
@@ -280,6 +324,30 @@ class TestClock:
         seeds = result.certificate.records[: len(seeded)]
         assert [r.cells for r in seeds] == [r.cells for r in seeded.records]
         assert result.trace[0].elapsed > max(r.seconds for r in seeds)
+
+
+class TestIterationLog:
+    def logged(self, caplog, grid, cfg):
+        with caplog.at_level(logging.INFO, logger="minclue.solver"):
+            result = solve_mscp(grid, cfg)
+        want = [
+            f"iteration {e.iteration}: lower={e.lower} upper={e.upper} "
+            f"cuts={e.certificate_size} elapsed={e.elapsed:.3f}s"
+            for e in result.trace
+        ]
+        got = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        return result, got, want
+
+    def test_one_info_line_per_trace_entry(self, grid4_objects, caplog):
+        result, got, want = self.logged(caplog, grid4_objects[7], MscpConfig(initial_cuts=0))
+        assert result.status is MscpStatus.OPTIMAL
+        assert got == want and len(got) > 1
+
+    def test_run_stopped_by_its_budget_logs_its_final_state(self, figure_grid, caplog):
+        cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=30_000))
+        result, got, want = self.logged(caplog, figure_grid, cfg)
+        assert result.status is MscpStatus.BOUNDS_ONLY
+        assert got == want and len(got) == result.iterations > 10
 
 
 class TestBudgetedSolve:

@@ -101,6 +101,23 @@ class TestMinimalize:
             minimalize(grid, cells, SearchBudget(max_nodes=12))
         assert minimalize(grid, cells, SearchBudget(max_nodes=68)) == want
 
+    def test_stats_count_the_whole_shrink(self, size4):
+        # the 68 nodes above, also when one node too few stops the ninth
+        # search on its third node, and when the input is avoidable
+        grid = Grid(size4, [1, 2, 3, 4, 3, 4, 1, 2, 2, 1, 4, 3, 4, 3, 2, 1])
+        cells = size4.all_cells()[:8]
+        stats = SearchStats()
+        minimalize(grid, cells, stats=stats)
+        assert stats.nodes == 68
+        stats = SearchStats()
+        with pytest.raises(SearchInterrupted):
+            minimalize(grid, cells, SearchBudget(max_nodes=67), stats)
+        assert stats.nodes == 68
+        stats = SearchStats()
+        with pytest.raises(NotUnavoidableError):
+            minimalize(grid, [Cell(1, 1), Cell(2, 2)], stats=stats)
+        assert stats.nodes > 0
+
 
 def emitted(collection):
     """(set, m) pairs: a set found at distance m has exactly m cells."""
