@@ -42,6 +42,7 @@ from .grid import (
 from .hitting import (
     HittingInstance,
     HittingSolution,
+    HittingWalk,
     disjoint_packing_bound,
     min_hitting_set,
 )

@@ -1,35 +1,37 @@
-"""Exact minimum-cardinality hitting set by depth-first branch and bound.
+"""Minimum-cardinality hitting sets by one resumable depth-first walk.
 
-Each node branches on the unhit family member with the fewest live cells
-(cells not banned at that node; the lowest index wins ties), trying those
-cells in canonical order; earlier siblings are banned in later branches so
-the tree partitions the solution space. Every unhit member keeps a live
-cell at every node: a child bans only live cells of its parent's branching
-member S, so an unhit member M left with none had all its live cells in
-S's; M had at least as many as S, so it had exactly S's, the child's own
-cell among them, and is hit. A node with no unhit member is a leaf.
+`HittingWalk` looks for a hitting set of `level` cells of a family that
+may grow between its calls. When its stack runs empty, none exists, and
+it starts a new root one level up, so `level` is a proven lower bound at
+every moment. Cells are non-negative ints; a member is kept as a bitmask.
 
-The bound is a greedy packing of pairwise disjoint unhit sets. One cut
-rule holds throughout: a node is cut when its count plus its packing
-reaches `best_value`, which starts one above `upper_hint` (or above the
-number of cells) and then is the incumbent's value. So a solution of the
-hint's value stays reachable, and the search never revisits an
-incumbent's value: ties resolve to the first optimum in search order,
-which is deterministic but not the lexicographically smallest. Search
-stops early at the first solution whose value meets the root packing
-bound or the caller's `lower_hint`. Elements may be Cells or any other
-orderable hashables.
+Each node branches on the unhit member with the fewest live cells (cells
+the node does not ban; the first member wins ties), trying them in
+ascending order and banning earlier siblings in later branches. A node is
+cut when its count plus a greedy packing of disjoint unhit members exceeds
+`level`; one whose chosen member has no live cell has no children. A node
+with no unhit member is a leaf: `next` returns it and leaves it on the
+stack. A new member only removes hitting sets, so a popped subtree still
+holds none.
+
+A root bans the cells it dominates: those whose members lie strictly
+within another cell's or equal a lower cell's, and those in no member. A
+hitting set stays one when such a cell is swapped for its dominator. A new
+member breaks a dominance only through its own dropped cells, so `add`
+gives those back as root-level frames. `min_hitting_set` walks a
+`HittingInstance`, whose elements may be any orderable hashables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .engine import SearchBudget, SearchInterrupted, SearchStats, _Ticker
+from .engine import SearchBudget, SearchStats, _Ticker
 
 __all__ = [
     "HittingInstance",
     "HittingSolution",
+    "HittingWalk",
     "min_hitting_set",
     "disjoint_packing_bound",
 ]
@@ -57,6 +59,9 @@ class HittingInstance:
 
 @dataclass(frozen=True)
 class HittingSolution:
+    """An optimum: `proven_optimal` is always True and `lower_bound` is
+    `value`, both kept for callers that read them."""
+
     cells: frozenset
     value: int
     proven_optimal: bool
@@ -79,7 +84,14 @@ def disjoint_packing_bound(instance: HittingInstance) -> int:
     return len(_disjoint(instance.family))
 
 
-def _pack(masks: Sequence[int], chosen: int) -> int:
+def _mask(member: Iterable[int]) -> int:
+    mask = sum(1 << i for i in set(member))
+    if not mask:
+        raise ValueError("an empty family member cannot be hit")
+    return mask
+
+
+def _pack(masks: list[int], chosen: int) -> int:
     """Greedy disjoint packing of the unhit masks; small sets pack first."""
     packed = 0
     count = 0
@@ -90,110 +102,100 @@ def _pack(masks: Sequence[int], chosen: int) -> int:
     return count
 
 
+class HittingWalk:
+    """One depth-first search for a hitting set of `level` cells, kept
+    across calls while the family grows."""
+
+    def __init__(self, family: Iterable[Iterable[int]] = ()):
+        self.family = [_mask(member) for member in family]  # in order added
+        self.level = 0
+        self.restart()
+
+    def restart(self) -> None:
+        """Start the current level again from a root that bans the cells
+        dominated in the family as it stands."""
+        membership: dict[int, int] = {}
+        for k, mask in enumerate(self.family):
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                membership[bit] = membership.get(bit, 0) | 1 << k
+        first: dict[int, int] = {}
+        for bit in sorted(membership):
+            first.setdefault(membership[bit], bit)
+        kept = [m for m in first if not any(m != o and not m & ~o for o in first)]
+        self._allow(sum(first[m] for m in kept))
+        # frame: (chosen mask, chosen count, banned mask)
+        self.stack = [(0, 0, ~self.allowed)]
+
+    def _allow(self, allowed: int) -> None:
+        # members cut down to the cells a frame may choose: in order for
+        # branching, smallest first for the packing
+        self.allowed = allowed
+        self.masks = [mask & allowed for mask in self.family]
+        self.pack_order = sorted(self.masks, key=int.bit_count)
+
+    def add(self, member: Iterable[int]) -> None:
+        """Take in a new member; each dropped cell in it comes back as a
+        root-level frame that chooses it and bans the cells still dropped
+        and those given back before it."""
+        mask = _mask(member)
+        self.family.append(mask)
+        back = mask & ~self.allowed
+        self._allow(self.allowed | back)
+        banned = ~self.allowed
+        while back:  # highest first, so the lowest is popped first
+            bit = 1 << (back.bit_length() - 1)
+            back ^= bit
+            self.stack.append((bit, 1, banned | back))
+
+    def next(
+        self, budget: Optional[SearchBudget] = None, stats: Optional[SearchStats] = None
+    ) -> frozenset[int]:
+        """A hitting set of `level` cells, raising the level until one
+        exists. A budget interrupt raises SearchInterrupted with the walk
+        intact, so a later call resumes it."""
+        ticker = _Ticker(budget)
+        try:
+            while True:
+                if not self.stack:
+                    self.level += 1
+                    self.restart()
+                stack = self.stack
+                ticker.tick()
+                chosen, count, banned = frame = stack.pop()
+                target_live = 0
+                fewest = wide = self.allowed.bit_count() + 1
+                for mask in self.masks:
+                    if not mask & chosen:
+                        live = mask & ~banned
+                        width = live.bit_count()
+                        if width < fewest:
+                            target_live, fewest = live, width
+                if count + _pack(self.pack_order, chosen) > self.level:
+                    continue
+                if fewest == wide:  # every member is hit
+                    stack.append(frame)
+                    return frozenset(i for i in range(chosen.bit_length()) if chosen >> i & 1)
+                # highest cell first, so the lowest is popped first; each
+                # child bans the live cells below its own
+                while target_live:
+                    bit = 1 << (target_live.bit_length() - 1)
+                    target_live ^= bit
+                    stack.append((chosen | bit, count + 1, banned | target_live))
+        finally:
+            ticker.record(stats)
+
+
 def min_hitting_set(
     instance: HittingInstance,
-    upper_hint: Optional[int] = None,
     budget: Optional[SearchBudget] = None,
     stats: Optional[SearchStats] = None,
-    lower_hint: int = 0,
 ) -> HittingSolution:
-    """Minimum-cardinality set meeting every family member.
-
-    `upper_hint`, when given, must be a correct upper bound on the optimum:
-    branches whose bound exceeds it are cut, while a solution of exactly
-    that value stays reachable and is returned as the witness. A hint below
-    the optimum raises ValueError.
-
-    `lower_hint` must be a correct lower bound on the optimum, for example
-    the optimum of a subfamily of this family. The search returns the first
-    solution whose value is at most `lower_hint` as proven optimal without
-    exploring further. A hint above the optimum therefore gives a wrong
-    answer flagged optimal. Both hints are promises the search relies on
-    without checking them; a too-low `upper_hint` at least shows up as the
-    ValueError above, while a too-high `lower_hint` cannot be detected.
-
-    Among equal-value optima the first one in search order is returned.
-    A budget interrupt returns the best incumbent (not flagged optimal)
-    together with a still-sound lower bound over the open nodes.
-    """
-    family = instance.family
-    if not all(family):
-        raise ValueError("an empty family member cannot be hit")
-    ticker = _Ticker(budget)
-    if not family:
-        ticker.record(stats)
-        return HittingSolution(frozenset(), 0, True, 0)
-
-    elements = sorted(set().union(*family))
-    # root-only dominance: a cell whose membership list lies strictly within
-    # another list is dropped, and among cells with one list the first stays
-    membership: dict = {e: 0 for e in elements}
-    for k, member in enumerate(family):
-        bit = 1 << k
-        for e in member:
-            membership[e] |= bit
-    first: dict = {}
-    for e in elements:
-        first.setdefault(membership[e], e)
-    kept = [
-        e for m, e in first.items() if not any(m != o and not m & ~o for o in first)
-    ]
-
-    pos = {e: i for i, e in enumerate(kept)}
-    masks = [
-        sum(1 << pos[e] for e in member if e in pos) for member in family
-    ]
-    pack_order = sorted(masks, key=lambda m: m.bit_count())
-
-    best_mask: Optional[int] = None
-    best_value = (len(kept) if upper_hint is None else upper_hint) + 1
-    # any solution this small is optimal: stop at the first one found
-    good_enough = max(lower_hint, _pack(pack_order, 0))
-
-    # frame: (chosen_mask, chosen_count, banned_mask)
-    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
-    interrupted = False
-    while stack:
-        try:
-            ticker.tick()
-        except SearchInterrupted:
-            interrupted = True
-            break
-        chosen, count, banned = stack.pop()
-        target_live = 0
-        fewest = len(kept) + 1
-        for mask in masks:
-            if not mask & chosen:
-                live = mask & ~banned
-                width = live.bit_count()
-                if width < fewest:
-                    target_live, fewest = live, width
-        if not target_live:  # every member is hit
-            if count < best_value:
-                best_mask, best_value = chosen, count
-                if count <= good_enough:
-                    break
-            continue
-        if count + _pack(pack_order, chosen) >= best_value:
-            continue
-        # highest cell first, so the lowest is popped first; each child bans
-        # the live cells below its own
-        while target_live:
-            bit = 1 << (target_live.bit_length() - 1)
-            target_live ^= bit
-            stack.append((chosen | bit, count + 1, banned | target_live))
-
-    ticker.record(stats)
-    if best_mask is None:
-        if not interrupted:
-            raise ValueError("upper_hint was below the true optimum")
-        # greedy fallback keeps the returned cells a genuine hitting set
-        best_mask = 0
-        for mask in masks:
-            if not mask & best_mask:
-                best_mask |= mask & -mask
-    cells = frozenset(kept[i] for i in range(len(kept)) if best_mask >> i & 1)
-    if interrupted:
-        lower = min(count + _pack(pack_order, chosen) for chosen, count, _ in stack)
-        return HittingSolution(cells, len(cells), False, min(lower, len(cells)))
+    """Minimum-cardinality set meeting every family member: the first set a
+    fresh walk finds. A budget interrupt raises SearchInterrupted."""
+    pos = {e: i for i, e in enumerate(instance.universe)}
+    walk = HittingWalk([pos[e] for e in member] for member in instance.family)
+    found = walk.next(budget, stats)
+    cells = frozenset(instance.universe[i] for i in found)
     return HittingSolution(cells, len(cells), True, len(cells))

@@ -42,7 +42,8 @@ from .engine import (
     find_alternate,
 )
 from .grid import CluePattern, Grid, _Geometry, _check_entries, apply_pattern
-from .hitting import HittingInstance, _disjoint, min_hitting_set
+# min_hitting_set is not called here; perfbench/tracing.py wraps this name
+from .hitting import HittingWalk, _disjoint, min_hitting_set
 from .unavoidable import (
     CorruptCollectionError,
     GenerationLimits,
@@ -212,31 +213,29 @@ def _ihs_loop(
 ) -> FcpResult:
     """Implicit hitting-set loop over the indices 0..len(target)-1.
 
-    `seeds` are minimal index sets known to be unavoidable. Each round
-    solves one hitting set over a family that starts as a disjoint packing
-    of the seeds and takes in seeds only as candidates miss them, so a long
-    seed list costs only what its optimum needs. A candidate that misses
-    seeds adds a disjoint packing of them, is repaired, and the next round
-    solves again; a candidate that hits every cut goes to the oracle. That
-    candidate is a minimum hitting set of all cuts: it hits them, and its
-    size is the optimum over the family, a subfamily of the cuts, so no
-    hitting set of all cuts is smaller. Trace times count from the start of
-    `budget`; iteration i is always `trace[i - 1]`, and a cut the loop adds
-    in iteration i is `certificate[len(seeds) + i - 1]`.
+    `seeds` are minimal index sets known to be unavoidable. One
+    `HittingWalk` serves every round. Its family starts as a disjoint
+    packing of the seeds and takes in seeds only as candidates miss them,
+    so a long seed list costs only what its optimum needs. Each round takes
+    the walk's next candidate, whose size is the walk's proven `level`. A
+    candidate that misses seeds adds a disjoint packing of them, restarts
+    the level from a fresh root and is repaired; a candidate that hits
+    every cut goes to the oracle, and a new cut joins the walk where it
+    stands. Such a candidate is a minimum hitting set of all cuts, since no
+    hitting set of the family, a subfamily of the cuts, is smaller. An
+    interrupt keeps the larger of the walk's level and the packing bound
+    of all cuts. Trace times count from the start of `budget`; iteration i
+    is always `trace[i - 1]`, and a cut the loop adds in iteration i is
+    `certificate[len(seeds) + i - 1]`.
 
     Every query (candidate check, `_shrink` trial, `repair` step) is first
     answered from the diffs of the alternates found so far: the oldest one
     disjoint from the revealed set is a valid answer, since that alternate
     agrees with the target there. The oracle is searched only when none
     fits, and only a search answers None, so `_shrink` stays minimal and
-    the loop deterministic. On the bare figure grid this settles all but
-    one candidate check and about half the `repair` steps. The scan runs
-    oldest first: newest first took seven times the nodes to lower 7 and
-    ended the figure grid at upper 25, and a memory consulted by `repair`
-    alone kept the cuts unchanged but raised the summed upper bound over
-    eight isomorphs of the grid from 192 to 196. Revealed sets with no
-    alternate are not remembered: to lower 7 on the figure grid they would
-    settle 22 searches worth 217 of 12,216 nodes.
+    the loop deterministic. The scan runs oldest first: newest first took
+    seven times the nodes to lower 7 on the figure grid. Revealed sets with
+    no alternate are not remembered.
     """
     universe = frozenset(range(len(target)))
     found: list[frozenset] = []  # every diff searched, in discovery order
@@ -251,9 +250,7 @@ def _ihs_loop(
         return diff
 
     cuts: list[frozenset] = list(seeds)
-    # a disjoint packing of the seeds, then a disjoint packing of the seeds
-    # each candidate misses, and every loop cut
-    family = _disjoint(cuts)
+    walk = HittingWalk(_disjoint(cuts))
     incumbent = universe
     upper = len(incumbent)
     lower = 0
@@ -284,26 +281,14 @@ def _ihs_loop(
 
     try:
         while True:
-            solution = budget.spend(
-                lambda share, stats: min_hitting_set(
-                    HittingInstance.build(universe, family),
-                    upper_hint=upper,
-                    budget=share,
-                    stats=stats,
-                    lower_hint=lower,
-                )
-            )
-            if not solution.proven_optimal:
-                lower = max(lower, solution.lower_bound)
-                raise SearchInterrupted("hitting set", budget.nodes)
+            candidate = budget.spend(walk.next)
             status = MscpStatus.BOUNDS_ONLY
-            if solution.value < lower:
-                raise MscpInternalError("hitting-set optimum decreased as the family grew")
-            lower = solution.value
-            candidate = solution.cells
+            lower = walk.level
             missed = [cut for cut in cuts if not cut & candidate]
             if missed:
-                family.extend(_disjoint(missed))
+                for member in _disjoint(missed):
+                    walk.add(member)
+                walk.restart()
                 # a missed seed holds the diff of an alternate the candidate allows
                 repair(candidate, missed[0])
                 continue
@@ -319,14 +304,14 @@ def _ihs_loop(
                 if existing <= cut or cut <= existing:
                     raise MscpInternalError("cut already implied by the certificate")
             cuts.append(cut)
-            family.append(cut)
+            walk.add(cut)
             repair(candidate, diff)
             note(iteration)
             iteration += 1
         status = MscpStatus.OPTIMAL
     except SearchInterrupted:
-        # cuts added since the last exact solve still bound the optimum
-        lower = max(lower, len(_disjoint(cuts)))
+        # the walk's level is proven, and so is a packing of all the cuts
+        lower = max(walk.level, len(_disjoint(cuts)))
     note(iteration)
 
     return FcpResult(
@@ -344,7 +329,7 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
     which may spend at most half of the time and half of the nodes of the
     budget. A supplied collection of another grid raises
     FingerprintMismatchError. Each supplied seed used is checked by
-    `minimalize` under the solve's budget: one that is not unavoidable
+    `minimalize` within the same half: one that is not unavoidable
     raises NotUnavoidableError, and one that it shrinks is not minimal and
     raises CorruptCollectionError. One clock runs from the call: trace
     times and the `seconds` of each loop cut include the seeding time. The
@@ -362,11 +347,19 @@ def solve_mscp(g: Grid, config: Optional[MscpConfig] = None) -> MscpResult:
             cfg.seed_collection.check_grid(g)
             cap = cfg.max_cut_size or len(cells)
             fits = [rec for rec in cfg.seed_collection.records if len(rec.cells) <= cap]
-            for rec in fits[: cfg.initial_cuts]:
-                kept = budget.spend(lambda share, stats: minimalize(g, rec.cells, share, stats))
-                if kept != rec.cells:
-                    raise CorruptCollectionError(f"seed set {rec.cells} is not minimal")
-                certificate.add(rec)
+
+            def check(share: SearchBudget, stats: SearchStats) -> None:
+                seeding = _Ticker(share)
+                try:
+                    for rec in fits[: cfg.initial_cuts]:
+                        kept = seeding.spend(lambda part, st: minimalize(g, rec.cells, part, st))
+                        if kept != rec.cells:
+                            raise CorruptCollectionError(f"seed set {rec.cells} is not minimal")
+                        certificate.add(rec)
+                finally:
+                    seeding.record(stats)
+
+            budget.spend(check, parts=2)
         elif cfg.initial_cuts > 0:
             limits = GenerationLimits(max_sets=cfg.initial_cuts, max_size=cfg.max_cut_size)
             seeded = budget.spend(

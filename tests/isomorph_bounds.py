@@ -28,7 +28,7 @@ CONFIG = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=300_000)
 SEEDS = range(8)
 
 # (lower, upper) per isomorph, in seed order
-PIN = ((10, 24), (10, 25), (11, 25), (11, 23), (11, 23), (10, 25), (10, 23), (10, 23))
+PIN = ((11, 24), (10, 27), (10, 24), (11, 23), (11, 24), (10, 24), (11, 23), (10, 25))
 
 
 def isomorph(entries: tuple[int, ...], seed: int) -> tuple[int, ...]:

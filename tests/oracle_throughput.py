@@ -49,7 +49,7 @@ from test_grid import TestBigBoards
 CONFIG = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000))
 
 # status, lower, upper, iterations, nodes, and the digest of the cuts in order
-PIN = ("bounds_only", 10, 24, 48, 200_001, "eda9799b33ea0de8")
+PIN = ("bounds_only", 10, 24, 53, 200_001, "9cf44f5966557524")
 
 
 class Query(NamedTuple):

@@ -6,8 +6,8 @@ Run from the root of a checkout:
 
 It solves all 288 completed 4x4 grids with the default configuration, so
 each solve seeds its cut family from the unavoidable-set generator, and
-counts the loop's `min_hitting_set` calls. It prints the summed
-iterations, hitting-set solves and search nodes, the digest of every
+counts the loop's `HittingWalk.next` rounds. It prints the summed
+iterations, hitting-set rounds and search nodes, the digest of every
 result and the seconds the sweep took, as a Markdown list, and exits 1
 when the outcome differs from `PIN`. The solves are deterministic, so a
 change to seeding or to the loop that moves one candidate, one cut or one
@@ -21,28 +21,27 @@ from contextlib import contextmanager
 from time import perf_counter
 
 import oracle
-from minclue import Grid, GridSize, MscpConfig, MscpResult, solve_mscp
-from minclue import solver
+from minclue import Grid, GridSize, HittingWalk, MscpConfig, MscpResult, solve_mscp
 
-# iterations, hitting-set solves, search nodes, and the digest of every result
-PIN = (288, 1_178, 573_165, "d4cd04e0e9146559")
+# iterations, hitting-set rounds, search nodes, and the digest of every result
+PIN = (288, 1_178, 568_941, "549a471cf6f26682")
 
 
 @contextmanager
-def counted_solves(families: list):
-    """Append the family of every `min_hitting_set` call the loop makes
-    while active, as a tuple of frozensets in the order passed."""
-    solve = solver.min_hitting_set
+def counted_rounds(families: list):
+    """Append the walk's family, as a tuple of member bitmasks, at every
+    `HittingWalk.next` round the loop runs while active."""
+    walk_next = HittingWalk.next
 
-    def counted(instance, *args, **kwargs):
-        families.append(instance.family)
-        return solve(instance, *args, **kwargs)
+    def counted(walk, *args, **kwargs):
+        families.append(tuple(walk.family))
+        return walk_next(walk, *args, **kwargs)
 
-    solver.min_hitting_set = counted
+    HittingWalk.next = counted
     try:
         yield families
     finally:
-        solver.min_hitting_set = solve
+        HittingWalk.next = walk_next
 
 
 def outcome(result: MscpResult) -> tuple:
@@ -64,7 +63,7 @@ def sweep() -> tuple[int, int, int, str]:
     size = GridSize.of_side(4)
     families: list = []
     results = []
-    with counted_solves(families):
+    with counted_rounds(families):
         for board in oracle.grids4():
             results.append(solve_mscp(Grid(size, board), MscpConfig()))
     for result in results:
@@ -82,10 +81,10 @@ def main() -> int:
     started = perf_counter()
     got = sweep()
     seconds = perf_counter() - started
-    iterations, solves, nodes, digest = got
+    iterations, rounds, nodes, digest = got
     print(
         f"- 288 4x4 grids under `MscpConfig()`: {iterations} iterations, "
-        f"{solves} hitting-set solves, {nodes} nodes, digest {digest}"
+        f"{rounds} hitting-set rounds, {nodes} nodes, digest {digest}"
         + ("" if got == PIN else f", pinned {PIN}")
     )
     print(f"- sweep time: {seconds:.2f} s")

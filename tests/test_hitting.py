@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hitting_throughput
 import oracle
@@ -8,7 +10,9 @@ from conftest import BLUE, GREEN, RED
 from minclue import (
     Cell,
     HittingInstance,
+    HittingWalk,
     SearchBudget,
+    SearchInterrupted,
     SearchStats,
     disjoint_packing_bound,
     min_hitting_set,
@@ -102,107 +106,113 @@ class TestExactness:
             prev = value
 
 
-class TestUpperHint:
-    def test_hint_equal_to_optimum_still_returns_witness(self):
-        fam = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})]
-        sol = min_hitting_set(HittingInstance.build(range(6), fam), upper_hint=3)
-        assert sol.value == 3 and sol.proven_optimal
+# rounds of members over the cells 0..9, each round followed by one `next`
+# and, when its flag is set, preceded by a `restart`
+rounds = st.lists(
+    st.tuples(
+        st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=4), min_size=1, max_size=3),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
-    def test_bad_hint_detected(self):
-        fam = [frozenset({0}), frozenset({1})]
+
+class TestWalk:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=4), max_size=6), rounds)
+    def test_matches_brute_force_as_the_family_grows(self, start, steps):
+        walk = HittingWalk(start)
+        family = list(start)
+        for members, restart in steps:
+            for member in members:
+                walk.add(member)
+                family.append(member)
+            if restart:
+                walk.restart()
+            found = walk.next()
+            assert walk.level == len(found) == brute_value(range(10), family)
+            assert all(found & member for member in family)
+
+    def test_dropped_cells_come_back_with_a_member_holding_them(self):
+        # the root keeps 0 and 3: 1 and 2 lie in fewer members than 0, and 4
+        # in the same members as 3. Only {0, 4} hits the new member in two
+        # cells, so a walk that kept 4 banned would wrongly climb to level 3
+        walk = HittingWalk([{0, 1}, {0, 2}, {3, 4}])
+        assert walk.next() == {0, 3} and walk.level == 2
+        walk.add({1, 4})
+        assert walk.next() == {0, 4} and walk.level == 2
+
+    def test_a_hit_member_keeps_the_found_set(self):
+        walk = HittingWalk([{0, 1}, {2, 3}])
+        assert walk.next() == {0, 2}
+        walk.add({0, 5})
+        assert walk.next() == {0, 2} and walk.level == 2
+
+    def test_empty_family_gives_the_empty_set(self):
+        walk = HittingWalk()
+        assert walk.next() == frozenset() and walk.level == 0
+
+    def test_empty_member_is_rejected(self):
         with pytest.raises(ValueError):
-            min_hitting_set(HittingInstance.build(range(2), fam), upper_hint=1)
-
-
-def random_family(rng, universe_size=16, max_members=20):
-    uni = sorted(rng.sample(range(universe_size), rng.randint(3, universe_size)))
-    fam = [
-        frozenset(rng.sample(uni, rng.randint(1, min(5, len(uni)))))
-        for _ in range(rng.randint(1, max_members))
-    ]
-    return uni, fam
-
-
-class TestHints:
-    """lower_hint lets the search stop at the first solution that meets it;
-    with any correct hints the answer is still an exact optimum."""
-
-    @staticmethod
-    def check_optimal(sol, fam, want):
-        assert sol.proven_optimal and sol.lower_bound == sol.value == want
-        assert all(sol.cells & member for member in fam)
-
-    def test_lower_hints_match_brute_force(self):
-        rng = random.Random(2305)
-        for _ in range(150):
-            uni, fam = random_family(rng)
-            inst = HittingInstance.build(uni, fam)
-            want = brute_value(uni, fam)
-            for hint in (0, rng.randint(0, want - 1), want):
-                self.check_optimal(min_hitting_set(inst, lower_hint=hint), fam, want)
-
-    def test_both_hints_at_the_optimum_still_return_a_witness(self):
-        rng = random.Random(1697)
-        for _ in range(100):
-            uni, fam = random_family(rng)
-            inst = HittingInstance.build(uni, fam)
-            want = brute_value(uni, fam)
-            self.check_optimal(min_hitting_set(inst, upper_hint=want), fam, want)
-            self.check_optimal(
-                min_hitting_set(inst, upper_hint=want, lower_hint=want), fam, want
-            )
-
-    def test_interrupt_with_lower_hint_is_sound(self):
-        rng = random.Random(77)
-        uni = list(range(24))
-        for _ in range(20):
-            fam = [frozenset(rng.sample(uni, 4)) for _ in range(40)]
-            inst = HittingInstance.build(uni, fam)
-            want = min_hitting_set(inst).value
-            for hint in (0, want - 1):
-                cut = min_hitting_set(
-                    inst, budget=SearchBudget(max_nodes=15), lower_hint=hint
-                )
-                assert cut.lower_bound <= want <= cut.value
-                assert all(cut.cells & member for member in fam)
+            HittingWalk().add([])
 
 
 class TestInterrupt:
-    def test_interrupted_is_sound(self):
-        rng = random.Random(9)
-        uni = list(range(24))
-        fam = [frozenset(rng.sample(uni, 4)) for _ in range(40)]
-        inst = HittingInstance.build(uni, fam)
-        full = min_hitting_set(inst)
-        cut = min_hitting_set(inst, budget=SearchBudget(max_nodes=20))
-        assert not cut.proven_optimal
-        assert cut.lower_bound <= full.value <= cut.value
-        assert all(cut.cells & member for member in fam)
+    @staticmethod
+    def family(seed):
+        rng = random.Random(seed)
+        return [frozenset(rng.sample(range(24), 4)) for _ in range(40)]
 
-    def test_no_node_falls_back_to_greedy(self):
-        # a budget of no node finds no incumbent: the cells come from a greedy
-        # pass, each unhit member adding its lowest cell
-        fam = [{i, (i + 1) % 6} for i in range(6)]
-        inst = HittingInstance.build(range(6), fam)
-        cut = min_hitting_set(inst, budget=SearchBudget(max_nodes=0))
-        assert cut.cells == {0, 1, 2, 3, 4} and cut.value == 5
-        assert not cut.proven_optimal and cut.lower_bound == 3
-        assert all(cut.cells & member for member in fam)
+    def test_interrupted_is_sound(self):
+        # an interrupted walk keeps a level no higher than the optimum
+        for seed in range(20):
+            family = self.family(seed)
+            want = len(HittingWalk(family).next())
+            for nodes in (0, 15, 60):
+                walk = HittingWalk(family)
+                with pytest.raises(SearchInterrupted):
+                    walk.next(SearchBudget(max_nodes=nodes))
+                assert walk.level <= want
+
+    def test_a_resumed_walk_ends_as_an_uninterrupted_one(self):
+        # each interrupt raises on a tick before its frame is popped, so
+        # the resumed walk does one node more per interrupt
+        for seed in range(10):
+            family = self.family(seed)
+            whole, stats = HittingWalk(family), SearchStats()
+            want = whole.next(stats=stats)
+            walk, spent, interrupts = HittingWalk(family), 0, 0
+            while True:
+                part = SearchStats()
+                try:
+                    found = walk.next(SearchBudget(max_nodes=50), part)
+                    break
+                except SearchInterrupted:
+                    interrupts += 1
+                finally:
+                    spent += part.nodes
+            assert found == want and walk.level == whole.level
+            assert spent == stats.nodes + interrupts
+
+    def test_budgeted_min_hitting_set_raises(self):
+        inst = HittingInstance.build(range(24), self.family(9))
+        with pytest.raises(SearchInterrupted):
+            min_hitting_set(inst, budget=SearchBudget(max_nodes=20))
 
 
 class TestFigureFamilyPin:
+    # the figure grid's first 45 sets: a change in the branching, the cut
+    # rule, the root dominance or the give-back shows here
+
     def test_optimum_and_interrupt_match_the_pins(self):
-        # the figure grid's first 45 sets: optimum 12 in 40,297 nodes, and
-        # 14 over lower 10 at a 1,000-node budget; a change in the branching,
-        # the cut rule or the interrupt bound shows here
         frozen = hitting_throughput.instance()
-        for budget, pin in (
-            (None, hitting_throughput.PIN),
-            (hitting_throughput.BUDGET, hitting_throughput.BUDGET_PIN),
-        ):
-            stats = SearchStats()
-            sol = min_hitting_set(
-                frozen, upper_hint=hitting_throughput.UPPER_HINT, budget=budget, stats=stats
-            )
-            assert hitting_throughput.outcome(sol, stats) == pin
-            assert all(sol.cells & member for member in frozen.family)
+        stats = SearchStats()
+        sol = min_hitting_set(frozen, stats=stats)
+        assert hitting_throughput.outcome(sol, stats) == hitting_throughput.PIN
+        assert all(sol.cells & member for member in frozen.family)
+        assert hitting_throughput.interrupted(frozen) == hitting_throughput.BUDGET_PIN
+
+    def test_growing_family_matches_the_pin(self):
+        frozen = hitting_throughput.instance()
+        assert hitting_throughput.incremental(frozen) == hitting_throughput.INCREMENTAL_PIN

@@ -1,4 +1,5 @@
 import logging
+from itertools import takewhile
 
 import pytest
 
@@ -23,6 +24,7 @@ from minclue import (
     NotUnavoidableError,
     SearchBudget,
     SearchInterrupted,
+    SearchStats,
     UnavoidableCollection,
     UnavoidableSet,
     disjoint_packing_bound,
@@ -102,17 +104,17 @@ class TestSolveMscp4x4:
             assert verify_validity(grid, result.best_pattern)
 
     def test_each_hitting_set_family_extends_the_last(self, grid4_objects):
-        # one solve per round, each over the family of the round before with
-        # members added at its end
+        # one walk for the solve, whose family at each round is the family of
+        # the round before with members added at its end
         for k, grid in enumerate(grid4_objects[::2]):
             families: list = []
-            with seeded_sweep.counted_solves(families):
+            with seeded_sweep.counted_rounds(families):
                 solve_mscp(grid, MscpConfig())
             for before, after in zip(families, families[1:]):
                 assert len(before) < len(after) and after[: len(before)] == before, k
 
     def test_seeded_sweep_pin(self):
-        # iterations, hitting-set solves, nodes and every result of the
+        # iterations, hitting-set rounds, nodes and every result of the
         # seeded 4x4 sweep, as tests/seeded_sweep.py prints them
         assert seeded_sweep.sweep() == seeded_sweep.PIN
 
@@ -291,6 +293,23 @@ class TestSuppliedSeeds:
                     solve_mscp(grid, MscpConfig(seed_collection=coll))
         assert spanned == 19
 
+    def test_seed_check_spends_at_most_half_the_nodes(self, figure_grid):
+        # checking all 24 seeds costs the whole budget; held to seeding's
+        # half, as the generator is, the check leaves the loop the rest
+        coll = generate_all(figure_grid, GenerationLimits(max_sets=24))
+        costs = []
+        for rec in coll.records:
+            stats = SearchStats()
+            minimalize(figure_grid, rec.cells, stats=stats)
+            costs.append(stats.nodes)
+        budget = SearchBudget(max_nodes=sum(costs))
+        cfg = MscpConfig(initial_cuts=24, seed_collection=coll, solve_budget=budget)
+        result = solve_mscp(figure_grid, cfg)
+        pairs = zip(result.certificate.records, coll.records)
+        used = sum(1 for _ in takewhile(lambda pair: pair[0] == pair[1], pairs))
+        assert 0 < used < 24
+        assert sum(costs[:used]) <= sum(costs) // 2 < sum(costs[: used + 1])
+
     def test_budget_ending_mid_check_drops_unchecked_seeds(self, grid4_objects):
         grid = grid4_objects[0]
         coll = generate_all(grid, GenerationLimits(max_sets=10))
@@ -301,7 +320,8 @@ class TestSuppliedSeeds:
         used = [r.cells for r in result.certificate.records]
         assert 0 < len(used) < 10
         assert used == [r.cells for r in coll.records[: len(used)]]
-        assert result.status is MscpStatus.INTERRUPTED
+        # the check stops at its half of the nodes, and the loop gets the rest
+        assert result.status is MscpStatus.BOUNDS_ONLY
         assert result.lower_bound <= 4 <= result.upper_bound
 
 
@@ -424,7 +444,7 @@ class TestBudgetedSolve:
 
     @pytest.mark.parametrize("max_nodes", [1000, 3000])
     def test_no_lower_bound_0_with_a_cut_in_hand(self, figure_grid, max_nodes):
-        # the budget ends in the second hitting-set solve, after the first
+        # the budget ends in the second hitting-set round, after the first
         # iteration's cut; that one cut already gives lower bound 1
         cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=max_nodes))
         result = solve_mscp(figure_grid, cfg)
@@ -433,20 +453,20 @@ class TestBudgetedSolve:
         assert result.trace[-1].lower == result.lower_bound
 
     def test_figure_grid_reaches_lower_7_within_13000_nodes(self, figure_grid):
-        # the hitting set proves 7 after 12,216 nodes and 282 oracle searches,
+        # the walk proves 7 after 10,158 nodes and 272 oracle searches,
         # so the interrupted solve keeps that bound
         cfg = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=13_000))
         assert solve_mscp(figure_grid, cfg).lower_bound >= 7
 
     def test_figure_grid_node_budget_reaches_lower_9(self, figure_grid):
-        # BOUNDS_ONLY 10/24 after 48 iterations and 200,001 nodes, with the
+        # BOUNDS_ONLY 10/24 after 53 iterations and 200,001 nodes, with the
         # cuts in a pinned order: a change in any search shows here
         result = solve_mscp(figure_grid, oracle_throughput.CONFIG)
         assert oracle_throughput.outcome(result) == oracle_throughput.PIN
         assert 9 <= result.lower_bound <= 17 <= result.upper_bound
         assert verify_validity(figure_grid, result.best_pattern)
         # each cut is checked by the public searches, not by the loop
-        assert len(result.certificate) == 47
+        assert len(result.certificate) == 52
         for member in result.certificate:
             assert is_unavoidable(figure_grid, member.cells)
             assert minimalize(figure_grid, member.cells) == member
@@ -480,7 +500,7 @@ class TestFcp:
         assert result.upper_bound == want
 
     # the back-circulant square B_n has smallest critical set floor(n^2 / 4)
-    # (Curran & van Rees, 1978); B_5 takes 67,968 nodes and B_6 6,489
+    # (Curran & van Rees, 1978); B_5 takes 13,906 nodes and B_6 4,183
     @pytest.mark.parametrize("n, want", [(5, 6), (6, 9)])
     def test_back_circulant_critical_set(self, n, want):
         square = [(r + c) % n + 1 for r in range(n) for c in range(n)]

@@ -363,6 +363,14 @@ class TestCollectionIO:
         with pytest.raises(CorruptCollectionError, match="line 3: bad metadata"):
             load_collection(path, grid4_objects[0])
 
+    @pytest.mark.parametrize("comment", ["café".encode("utf-8"), b"\xff"])
+    def test_non_ascii_byte_in_a_comment(self, grid4_objects, tmp_path, comment):
+        # decoding used to escape as an untyped UnicodeDecodeError
+        path = self.inline_file(grid4_objects[0], tmp_path, ("index=0", "index=1"))
+        path.write_bytes(path.read_bytes().rstrip(b"\n") + b" " + comment + b"\n")
+        with pytest.raises(CorruptCollectionError, match="not ASCII text"):
+            load_collection(path, grid4_objects[0])
+
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "junk.unav"
         path.write_text("BOGUS\n")
