@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("genunav", "generate minimal unavoidable sets", _genunav)
-    p.add_argument("--max-sets", type=_at_least(1), default=5000)
+    p.add_argument("--max-sets", type=_at_least(1), default=GenerationLimits.max_sets)
     p.add_argument("--max-size", type=_at_least(1), default=None)
     p.add_argument("--max-time", type=_at_least(0, float), default=None)
     p.add_argument("--out", default=None, help="collection file (default <grid_file>.unav)")
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_at_least(1), default=1)
 
     p = command("solve", "solve the minimum-clue problem", _solve)
-    p.add_argument("--seed-cuts", type=_at_least(0), default=1000)
+    p.add_argument("--seed-cuts", type=_at_least(0), default=MscpConfig.initial_cuts)
     p.add_argument("--cuts-file", default=None, help="reuse a genunav collection")
     p.add_argument(
         "--max-cut-size", type=_at_least(1), default=None, help="cap seeded cut size"

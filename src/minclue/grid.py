@@ -369,10 +369,11 @@ def iter_instance_lines(path) -> Iterator[tuple[int, str]]:
     """Yield (line_number, instance_token) from a grid/puzzle file.
 
     One instance per line; anything after the first whitespace is a comment.
-    Blank lines and lines starting with '#' are skipped. A file that is not
-    UTF-8 text raises IllegalCharacterError.
+    Blank lines and lines starting with '#' are skipped, and a leading
+    byte-order mark is dropped. A file that is not UTF-8 text raises
+    IllegalCharacterError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()

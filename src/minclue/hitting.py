@@ -5,21 +5,24 @@ may grow between its calls. When its stack runs empty, none exists, and
 it starts a new root one level up, so `level` is a proven lower bound at
 every moment. Cells are non-negative ints; a member is kept as a bitmask.
 
-Each node branches on the unhit member with the fewest live cells (cells
-the node does not ban; the first member wins ties), trying them in
-ascending order and banning earlier siblings in later branches. A node is
-cut when its count plus a greedy packing of disjoint unhit members exceeds
-`level`; one whose chosen member has no live cell has no children. A node
-with no unhit member is a leaf: `next` returns it and leaves it on the
-stack. A new member only removes hitting sets, so a popped subtree still
-holds none.
+Each node decides in three steps. It packs disjoint unhit members
+greedily, smallest first, and is cut as soon as its count plus the packing
+exceeds `level`. An empty packing means every member is hit: the node is a
+leaf, which `next` returns and leaves on the stack. Any other node branches
+on the unhit member with the fewest live cells (cells the node does not
+ban; the member added first wins ties), trying them in ascending order and
+banning earlier siblings in later branches; a member with no live cell
+gives no children. A new member only removes hitting sets, so a popped
+subtree still holds none.
 
 A root bans the cells it dominates: those whose members lie strictly
 within another cell's or equal a lower cell's, and those in no member. A
 hitting set stays one when such a cell is swapped for its dominator. A new
 member breaks a dominance only through its own dropped cells, so `add`
-gives those back as root-level frames. `min_hitting_set` walks a
-`HittingInstance`, whose elements may be any orderable hashables.
+gives those back as root-level frames. Every frame bans at least the cells
+still dropped, so branching can read the members as added.
+`min_hitting_set` walks a `HittingInstance`, whose elements may be any
+orderable hashables.
 """
 from __future__ import annotations
 
@@ -91,17 +94,6 @@ def _mask(member: Iterable[int]) -> int:
     return mask
 
 
-def _pack(masks: list[int], chosen: int) -> int:
-    """Greedy disjoint packing of the unhit masks; small sets pack first."""
-    packed = 0
-    count = 0
-    for mask in masks:
-        if not mask & chosen and not mask & packed:
-            packed |= mask
-            count += 1
-    return count
-
-
 class HittingWalk:
     """One depth-first search for a hitting set of `level` cells, kept
     across calls while the family grows."""
@@ -129,11 +121,12 @@ class HittingWalk:
         self.stack = [(0, 0, ~self.allowed)]
 
     def _allow(self, allowed: int) -> None:
-        # members cut down to the cells a frame may choose: in order for
-        # branching, smallest first for the packing
+        # a root bans the cells outside `allowed`, children and give-back
+        # frames extend their parent's ban, and `allowed` only grows until
+        # the next restart: so no frame's live cells lie outside it, and
+        # only the packing needs the members cut down, smallest first
         self.allowed = allowed
-        self.masks = [mask & allowed for mask in self.family]
-        self.pack_order = sorted(self.masks, key=int.bit_count)
+        self.pack_order = sorted((mask & allowed for mask in self.family), key=int.bit_count)
 
     def add(self, member: Iterable[int]) -> None:
         """Take in a new member; each dropped cell in it comes back as a
@@ -164,19 +157,23 @@ class HittingWalk:
                 stack = self.stack
                 ticker.tick()
                 chosen, count, banned = frame = stack.pop()
-                target_live = 0
-                fewest = wide = self.allowed.bit_count() + 1
-                for mask in self.masks:
-                    if not mask & chosen:
-                        live = mask & ~banned
-                        width = live.bit_count()
-                        if width < fewest:
-                            target_live, fewest = live, width
-                if count + _pack(self.pack_order, chosen) > self.level:
+                room = self.level - count
+                packed = chosen
+                for mask in self.pack_order:
+                    if not mask & packed:
+                        room -= 1
+                        if room < 0:
+                            break
+                        packed |= mask
+                if room < 0:  # the level has no room for the packing
                     continue
-                if fewest == wide:  # every member is hit
+                if packed == chosen:  # every member is hit
                     stack.append(frame)
                     return frozenset(i for i in range(chosen.bit_length()) if chosen >> i & 1)
+                live = ~banned
+                target_live = min(
+                    (mask & live for mask in self.family if not mask & chosen), key=int.bit_count
+                )
                 # highest cell first, so the lowest is popped first; each
                 # child bans the live cells below its own
                 while target_live:

@@ -17,9 +17,15 @@ It also splits the oracle's calls, nodes and seconds between those made
 inside `solver._shrink` and the rest (candidate checks and `repair`); in a
 second, untimed run of the same solve it counts, for each of the loop's
 three callers (`_shrink`, `repair`, candidate checks), the queries answered
-from the alternates already found and those that searched the oracle. Last
-it times `find_alternate` on the 16x16 shift grid with no clue, the largest
-unit table, where propagation skips the most unit scans.
+from the alternates already found and those that searched the oracle.
+
+Next it times the same solve under a 1,000,000-node budget, where the
+hitting-set walk takes most of the time, prints its result and the first
+iteration at each lower bound from 9 up, and exits 1 when either differs
+from `WALK_PIN` or `WALK_FIRST_ITERATIONS`; `tests/test_solver.py` checks
+these pins too. Last it times `find_alternate` on the 16x16 shift grid with
+no clue, the largest unit table, where propagation skips the most unit
+scans.
 """
 from __future__ import annotations
 
@@ -50,6 +56,12 @@ CONFIG = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=200_000)
 
 # status, lower, upper, iterations, nodes, and the digest of the cuts in order
 PIN = ("bounds_only", 10, 24, 53, 200_001, "9cf44f5966557524")
+
+# the same solve under a 1,000,000-node budget, its pinned fields as `PIN`
+# and the first iteration at each lower bound from 9 up
+WALK_CONFIG = MscpConfig(initial_cuts=0, solve_budget=SearchBudget(max_nodes=1_000_000))
+WALK_PIN = ("bounds_only", 12, 24, 83, 1_000_001, "24c0489d509ba8d1")
+WALK_FIRST_ITERATIONS = {9: 36, 10: 45, 11: 56, 12: 72}
 
 
 class Query(NamedTuple):
@@ -117,6 +129,15 @@ def outcome(result: MscpResult) -> tuple:
         result.nodes,
         digest,
     )
+
+
+def first_iterations(result: MscpResult, lowest: int = 9) -> dict[int, int]:
+    """The first iteration of the trace at each lower bound from `lowest` up."""
+    first: dict[int, int] = {}
+    for entry in result.trace:
+        if entry.lower >= lowest:
+            first.setdefault(entry.lower, entry.iteration)
+    return first
 
 
 def shift16_alternate(repeats: int = 5) -> tuple[int, float]:
@@ -199,12 +220,22 @@ def main() -> int:
             f"- {caller}: {counts[caller, False]} answered from earlier alternates, "
             f"{counts[caller, True]} searched"
         )
+    started = perf_counter()
+    walk_result = solve_mscp(grid, WALK_CONFIG)
+    walk_seconds = perf_counter() - started
+    walk_got = (outcome(walk_result), first_iterations(walk_result))
+    walk_pin = (WALK_PIN, WALK_FIRST_ITERATIONS)
+    print(
+        f"- figure grid, 1,000,000-node solve: {walk_got[0]} in {walk_seconds:.2f} s, "
+        f"first iteration at each lower bound {walk_got[1]}"
+        + ("" if walk_got == walk_pin else f", pinned {walk_pin}")
+    )
     shift_nodes, shift_seconds = shift16_alternate()
     print(
         f"- 16x16 shift grid, `find_alternate` with no clue: {shift_nodes} nodes "
         f"in {shift_seconds * 1e3:.1f} ms, {shift_nodes / shift_seconds:.0f} nodes/s"
     )
-    return 0 if got == PIN else 1
+    return 0 if got == PIN and walk_got == walk_pin else 1
 
 
 if __name__ == "__main__":

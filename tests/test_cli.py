@@ -5,8 +5,15 @@ import pytest
 
 import oracle
 from conftest import FIG_GRID_TEXT, FIG_PUZZLE_TEXT
-from minclue import GridSize, grid_fingerprint, parse_grid
-from minclue.cli import RESULT_FIELDS, bucket_label, bucket_table, main, parse_budget
+from minclue import GenerationLimits, GridSize, MscpConfig, grid_fingerprint, parse_grid
+from minclue.cli import (
+    RESULT_FIELDS,
+    bucket_label,
+    bucket_table,
+    build_parser,
+    main,
+    parse_budget,
+)
 
 
 def write(path, *lines):
@@ -53,6 +60,14 @@ class TestVerify:
         p.write_bytes(FIG_PUZZLE_TEXT.encode() + b"\xff\n")
         assert main(["verify", g, str(p)]) == 1
         assert capsys.readouterr().out.startswith(f"ERROR {p} is not UTF-8 text")
+
+    def test_files_with_byte_order_marks(self, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        g.write_bytes(b"\xef\xbb\xbf" + FIG_GRID_TEXT.encode() + b"\n")
+        p = tmp_path / "p.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + FIG_PUZZLE_TEXT.encode() + b"\n")
+        assert main(["verify", str(g), str(p)]) == 0
+        assert "VALID" in capsys.readouterr().out
 
     def test_instance_counts_differ(self, tmp_path, capsys):
         g = write(tmp_path / "g.txt", FIG_GRID_TEXT, FIG_GRID_TEXT)
@@ -246,6 +261,14 @@ class TestSolve:
         path.write_bytes(b"\xff\xfe1234\n")
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().out.startswith(f"ERROR {path} is not UTF-8 text")
+
+    def test_grid_file_with_byte_order_mark(self, tmp_path, grids4, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + "".join(map(str, grids4[25])).encode() + b"\n")
+        assert main(["solve", str(path), "--seed-cuts", "0"]) == 0
+        diffs = oracle.diff_masks(list(grids4), 25)
+        want, _ = oracle.mscp_optimum(diffs, 16)
+        assert capsys.readouterr().out == f"bom.txt:1: optimum {want}\n"
 
     def test_file_of_comments_only(self, tmp_path, capsys):
         path = write(tmp_path / "notes.txt", "# no grid here", "", "# nor here")
@@ -456,6 +479,11 @@ class TestFlagRanges:
         with pytest.raises(SystemExit) as err:
             main([command, grid4_file, f"{flag}={value}"])
         assert err.value.code == 2
+
+    def test_defaults_are_the_config_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["solve", "g.txt"]).seed_cuts == MscpConfig().initial_cuts
+        assert parser.parse_args(["genunav", "g.txt"]).max_sets == GenerationLimits().max_sets
 
     def test_negative_budget_part_raises(self):
         with pytest.raises(ValueError):

@@ -317,6 +317,11 @@ class TestInstanceFiles:
         with pytest.raises(IllegalCharacterError, match="is not UTF-8 text"):
             list(iter_instance_lines(path))
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf1234341221434321\n")
+        assert list(iter_instance_lines(path)) == [(1, "1234341221434321")]
+
     def test_infer_size(self):
         assert infer_size(FIG_GRID_TEXT).n == 9
         assert infer_size("1234341221434321").n == 4

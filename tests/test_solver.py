@@ -3,6 +3,7 @@ from itertools import takewhile
 
 import pytest
 
+import isomorph_bounds
 import oracle
 import oracle_throughput
 import seeded_sweep
@@ -470,6 +471,21 @@ class TestBudgetedSolve:
         for member in result.certificate:
             assert is_unavoidable(figure_grid, member.cells)
             assert minimalize(figure_grid, member.cells) == member
+
+    def test_figure_grid_million_node_budget_reaches_lower_12(self, figure_grid):
+        # BOUNDS_ONLY 12/24 after 83 iterations, the hitting-set walk taking
+        # most of the time; lower 9, 10, 11 and 12 first at iterations 36,
+        # 45, 56 and 72
+        result = solve_mscp(figure_grid, oracle_throughput.WALK_CONFIG)
+        assert oracle_throughput.outcome(result) == oracle_throughput.WALK_PIN
+        assert (
+            oracle_throughput.first_iterations(result) == oracle_throughput.WALK_FIRST_ITERATIONS
+        )
+        assert verify_validity(figure_grid, result.best_pattern)
+
+    def test_bounds_on_eight_isomorphs_match_the_pin(self):
+        # `bounds` also checks lower <= 17 <= upper on each isomorph
+        assert isomorph_bounds.bounds() == isomorph_bounds.PIN
 
 
 class TestFcp:
