@@ -25,7 +25,8 @@ needs; it rescans only the units a placement changed, as a scan of an
 unchanged unit finds what its last scan did. Latin squares use the
 box-free table, whose box slots mirror the rows and are not scanned. The
 deviation search keeps no slot masks: it looks up, through `pos`, whether
-a digit's target cell is still open.
+a digit's target cell is still open. Only its completion of an exhausted
+subtree, a few forced cells, keeps two digit masks per slot.
 """
 from __future__ import annotations
 
@@ -401,16 +402,18 @@ class _DeviationSearch:
     One search object serves every distance of one target grid: `grids(m)`
     yields every grid at distance m that keeps a target cell in each
     nogood, in search order: most-constrained cell first (ties by index),
-    digits ascending. While it is paused at a yield, `add_nogood` may add
-    that grid's own diff as a nogood, in place; on resume the search
-    continues with the next sibling of the deepest open frame. That is
-    exact: the grid reached distance m when that frame put its cell off
-    target, so the cell is in the diff. Every later grid assigns the cell
-    anew, so the off-target assignment that would complete the diff happens
-    after the nogood exists and is checked against it. Nogoods only prune,
-    and the branching order never depends on them, so the next grid is the
-    one a restart with the enlarged nogood list would find first. Nogoods
-    stay for later distances.
+    digits ascending, and below an exhausted child (see Pruning) forced
+    cells in index order. While it is paused at a yield, `add_nogood` may
+    add that grid's own diff as a nogood, in place; on resume the
+    completion that yielded it stops, as every grid it has left has that
+    diff, and the search continues with the next sibling of the exhausted
+    child. That is exact: the child put its cell off target, so the cell is
+    in the diff. Every later grid assigns the cell anew, so the off-target
+    assignment that would complete the diff happens after the nogood exists
+    and is checked against it. Nogoods only prune, and the branching order
+    never depends on them, so the next grid is the one a restart with the
+    enlarged nogood list would find first. Nogoods stay for later
+    distances.
 
     Candidate table: each frame holds, per cell, the candidate mask
     (`cands`) and the candidate count (`counts`, n + 1 once the cell is
@@ -438,15 +441,35 @@ class _DeviationSearch:
     many as the placed digits that are no assigned cell's target, which are
     the targets of the open cells forced through that unit. So a unit
     family's displaced-digit total counts the cells forced through that
-    family, and the forced mask, their union, is at least as large. A
-    child at distance m was entered with no room, so nothing is forced and
-    every open cell keeps its target digit. The nogood rule cuts when every
-    cell of a nogood deviates or is forced; only the placed cell and the
-    newly forced cells join that union, so only their nogoods are read. A
-    nogood added in place that is already dead in an open frame is caught
-    when one of its cells is next put off target. Every cut is exact
-    because every forced cell will deviate: none cuts a grid at distance m
-    that honours the nogoods.
+    family, and the forced mask, their union, is at least as large. A diff
+    moves each digit out of as many cells as it moves it into, and never
+    out of exactly one: that cell needs the digit back in its row, its
+    column and its box, and no other single cell lies in all three. So for
+    each digit with exactly one target cell among the deviating and forced
+    cells the diff holds one more cell, and an off-target child is also
+    cut when its deviating and forced cells plus those digits (`lone`)
+    exceed m. The cells a child adds are the branch cell and newly forced
+    cells whose target digit is the placed one, so two entries of the
+    per-digit tally change. The nogood rule cuts when every cell of a
+    nogood deviates or is forced; only the placed cell and the newly forced
+    cells join that union, so only their nogoods are read. Every cut is
+    exact because every forced cell will deviate: none cuts a grid at
+    distance m that honours the nogoods.
+
+    Exhausted children: an off-target child whose deviating and forced
+    cells are m in all, the set D (`doomed`), is not searched cell by cell.
+    Every grid below it differs from the target in exactly D: the forced
+    cells must deviate, and with no room left every other open cell keeps
+    its target digit. So `_complete` fills the forced cells alone. A forced
+    cell may take a digit that its units lack, and only one whose target
+    cell in each of its three units lies in D, as any other such cell keeps
+    that digit; forced cells that share a unit take distinct digits. That
+    is exact: those are the only constraints left between two cells of the
+    grid, and every grid below the child meets them. The union of deviating
+    and forced cells only grows along a path, so every grid at distance m
+    lies below exactly one exhausted child, the one where the union becomes
+    its diff, and the search has no other leaf. The completion ticks once
+    per placement, so node and time budgets hold inside it too.
     """
 
     def __init__(self, grid: Grid, ticker: _Ticker):
@@ -454,12 +477,15 @@ class _DeviationSearch:
         self.geo = geo
         self.ticker = ticker
         self.target = grid.entries
-        self.off_target = [geo.full & ~(1 << (v - 1)) for v in self.target]
+        self.target_bits = [1 << (v - 1) for v in self.target]
+        self.off_target = [geo.full ^ bit for bit in self.target_bits]
         # pos[slot][v]: the cell holding target digit v in the slot
         self.pos = [[0] * (geo.n + 1) for _ in geo.members]
         for i, v in enumerate(self.target):
             for slot in geo.slots[i]:
                 self.pos[slot][v] = i
+        # every nogood mask in the order added, and those of each cell
+        self.nogoods: list[int] = []
         self.nogoods_of: list[list[int]] = [[] for _ in range(geo.cells)]
         # what a node branching on cell i reads: its peers, its slots, its
         # target digit and its cell bit
@@ -471,6 +497,7 @@ class _DeviationSearch:
         """Keep at least one of the distinct row-major cell `indices` at
         its target digit from now on."""
         mask = sum(1 << idx for idx in indices)
+        self.nogoods.append(mask)
         for idx in indices:
             self.nogoods_of[idx].append(mask)
 
@@ -480,7 +507,8 @@ class _DeviationSearch:
         self.m = m
         self.values = [0] * geo.cells
         cands, counts = [geo.full] * geo.cells, [geo.n] * geo.cells
-        return self._search(0, 0, cands, counts, geo.cells)
+        self.tally = [0] * (geo.n + 1)
+        return self._search(0, 0, cands, counts, geo.cells, 0)
 
     def _search(
         self,
@@ -489,19 +517,16 @@ class _DeviationSearch:
         cands: list[int],
         counts: list[int],
         deviatable: int,
+        lone: int,
     ) -> Iterator[tuple[int, ...]]:
         """Grids below the current assignment; `deviating` is the mask of
         deviating cells, `forced` the mask of open cells that can no longer
-        take their target digit, and `cands`, `counts` and `deviatable` are
-        this frame's table."""
+        take their target digit, `cands`, `counts` and `deviatable` are
+        this frame's table, and `lone` counts the digits with one target
+        cell in `deviating | forced`, whose tally `self.tally` holds."""
         m = self.m
         deviations = deviating.bit_count()
         values = self.values
-        if deviations == m:
-            # entered with no room, so nothing is forced: every open cell
-            # keeps its target digit
-            yield tuple(v or t for v, t in zip(values, self.target))
-            return
         low = min(counts)
         if not low or deviations + deviatable < m:
             # the second test includes a complete assignment with fewer
@@ -521,6 +546,13 @@ class _DeviationSearch:
         child_deviatable = deviatable - (cand & off_target[best] != 0)
         # an off-target child's forced cells, before it adds its own
         left_forced = forced & ~cell_bit
+        # an off-target child adds the branch cell to the union, unless it
+        # is already forced, and its newly forced cells, whose target
+        # digit is the placed one
+        tally = self.tally
+        old_gv = tally[gv]
+        new_gv = old_gv if forced & cell_bit else old_gv + 1
+        lone_gv = lone + (new_gv == 1) - (old_gv == 1)
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -529,7 +561,7 @@ class _DeviationSearch:
             values[best] = value
             if value == gv:
                 descend = True
-                dev, fc = deviating, forced
+                dev, fc, child_lone = deviating, forced, lone
             else:
                 dev = deviating | cell_bit
                 # the open cells of the units whose target digit is `value`
@@ -541,7 +573,11 @@ class _DeviationSearch:
                     | (0 if values[pb] else 1 << pb)
                 ) & ~forced
                 fc = left_forced | newly
-                descend = fc.bit_count() <= room
+                spare = room - fc.bit_count()
+                old_v = tally[value]
+                new_v = old_v + newly.bit_count()
+                child_lone = lone_gv + (new_v == 1) - (old_v == 1)
+                descend = spare >= child_lone
                 if descend:
                     # a nogood dies once all its cells deviate or are forced
                     # to; it must hold the placed cell or a newly forced one
@@ -554,6 +590,11 @@ class _DeviationSearch:
                             if mask & doomed == mask:
                                 descend = False
                                 break
+                    if descend and not spare:
+                        # exhausted: every grid below differs from the
+                        # target in exactly `doomed`
+                        yield from self._complete(doomed, fc, cands, best, bit)
+                        descend = False
             if descend:
                 child_cands, child_counts = cands[:], counts[:]
                 child_cands[best], child_counts[best] = 0, assigned
@@ -566,8 +607,87 @@ class _DeviationSearch:
                         if had & off_target[p] == bit:
                             # `bit` was the peer's last non-target digit
                             left_deviatable -= 1
-                yield from self._search(dev, fc, child_cands, child_counts, left_deviatable)
+                if value != gv:
+                    tally[value], tally[gv] = new_v, new_gv
+                yield from self._search(
+                    dev, fc, child_cands, child_counts, left_deviatable, child_lone
+                )
+                if value != gv:
+                    tally[value], tally[gv] = old_v, old_gv
             values[best] = 0
+
+    def _complete(
+        self, doomed: int, forced: int, cands: list[int], best: int, bit: int
+    ) -> Iterator[tuple[int, ...]]:
+        """The grids below an exhausted child, which put `best` off target
+        with digit `bit`: those that differ from the target in exactly
+        `doomed`, whose open cells outside `forced` keep their target
+        digits. `cands` is the parent's table. Stops once a nogood added
+        while paused lies inside `doomed`."""
+        slots, values, target_bits = self.geo.slots, self.values, self.target_bits
+        # per slot, the target digits of its doomed cells; a digit a forced
+        # cell takes must leave its target cell in each of the three units
+        leaving = [0] * len(self.pos)
+        rest = doomed
+        while rest:
+            low_bit = rest & -rest
+            rest ^= low_bit
+            i = low_bit.bit_length() - 1
+            r, c, b = slots[i]
+            leaving[r] |= target_bits[i]
+            leaving[c] |= target_bits[i]
+            leaving[b] |= target_bits[i]
+        br, bc, bb = slots[best]
+        cells, options = [], []
+        rest = forced
+        while rest:
+            low_bit = rest & -rest
+            rest ^= low_bit
+            f = low_bit.bit_length() - 1
+            r, c, b = slots[f]
+            option = cands[f] & leaving[r] & leaving[c] & leaving[b]
+            if r == br or c == bc or b == bb:
+                option &= ~bit
+            if not option:
+                return
+            cells.append(f)
+            options.append(option)
+        nogoods = self.nogoods
+        seen = len(nogoods)
+        for grid in self._fill(cells, options, 0, [0] * len(self.pos)):
+            yield grid
+            if any(mask & doomed == mask for mask in nogoods[seen:]):
+                break
+            seen = len(nogoods)
+        for f in cells:
+            values[f] = 0
+
+    def _fill(
+        self, cells: list[int], options: list[int], k: int, taken: list[int]
+    ) -> Iterator[tuple[int, ...]]:
+        """Give `cells[k:]`, in index order, digits ascending from their
+        `options`, distinct from those the completion put in each slot
+        (`taken`); one tick per placement."""
+        values = self.values
+        if k == len(cells):
+            yield tuple(v or t for v, t in zip(values, self.target))
+            return
+        f = cells[k]
+        r, c, b = self.geo.slots[f]
+        free = options[k] & ~(taken[r] | taken[c] | taken[b])
+        tick = self.ticker.tick
+        while free:
+            bit = free & -free
+            free ^= bit
+            tick()
+            values[f] = bit.bit_length()
+            taken[r] |= bit
+            taken[c] |= bit
+            taken[b] |= bit
+            yield from self._fill(cells, options, k + 1, taken)
+            taken[r] ^= bit
+            taken[c] ^= bit
+            taken[b] ^= bit
 
 
 def find_deviating_grid(
@@ -576,7 +696,13 @@ def find_deviating_grid(
     stats: Optional[SearchStats] = None,
 ) -> Optional[Grid]:
     """A grid at exact deviation distance from the target honouring all
-    nogoods, or None when no such grid exists."""
+    nogoods, or None when no such grid exists.
+
+    It is the first grid in search order. The search fixes a diff at one
+    node and then fills that diff's open cells in row-major order, digits
+    ascending. So of the grids with the first diff found that agree on the
+    cells assigned at that node, it returns the least as a row-major
+    sequence of digits."""
     ticker = _Ticker(budget)
     try:
         search = _DeviationSearch(constraint.target, ticker)

@@ -315,13 +315,17 @@ def load_collection(path, grid: Optional[Grid] = None) -> UnavoidableCollection:
     is supplied) the board side and the grid fingerprint. The collection
     itself checks that every cell lies on its n x n board. The optional
     `index` and `found_at_m` comments must be integers; save_collection
-    rewrites them from the position and the size. A file that is not
-    ASCII text, even in a comment, raises CorruptCollectionError."""
-    with open(path, "r", encoding="ascii") as fh:
+    rewrites them from the position and the size. One leading UTF-8
+    byte-order mark is dropped; any other byte that is not ASCII, even in a
+    comment, raises CorruptCollectionError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise CorruptCollectionError(f"{path} is not ASCII text: {exc.reason}") from None
+    if not text.isascii():
+        raise CorruptCollectionError(f"{path} is not ASCII text: a non-ASCII character")
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise CorruptCollectionError("missing collection header")
     header = dict(

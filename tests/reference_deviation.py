@@ -2,22 +2,27 @@
 
 At every node it rescans all open cells for their candidates, the
 deviatable count, the forced cells and the branch cell, and each
-off-target child rescans them for its forced cells, where the library keeps
-an incremental candidate table and forced mask. A forced cell is an open
-cell whose candidates lack its target digit. Branch order, tick placement,
-pruning and tie-breaking are the same, so both must emit the same grids in
-the same order with the same node counts.
+off-target child rescans them for its forced cells and the target digits
+of its deviating and forced cells, where the library keeps an incremental
+candidate table, forced mask and per-digit tally. A forced cell is an open
+cell whose candidates lack its target digit. Below an exhausted child it
+finds each forced cell's options by scanning the units for target cells,
+and it checks every nogood against the doomed cells, where the library
+reads only the nogoods of the cells the child added. Branch order, tick
+placement, pruning and tie-breaking are the same, so both must emit the
+same grids in the same order with the same node counts.
 
 The reference also keeps the per-family displaced-digit totals and the
 target digits of the assigned cells per slot (`t_used`), which the library
 does without, and asserts at every node the identity that makes them
 redundant: each family's total is the number of open cells whose target
-digit is already placed in their slot of that family, and at distance m
-the placed digits of every slot are the target digits of its assigned
-cells.
+digit is already placed in their slot of that family, and in a completed
+grid at distance m the placed digits of every slot are the target digits
+of its assigned cells.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, Optional
 
 from minclue import (
@@ -106,11 +111,7 @@ class RescanningSearch:
         values = state.values
         used = state.used
         assert self._forced_per_family() == [row_total, col_total, box_total]
-        if deviations == m:
-            assert used == self.t_used
-            if used == self.t_used:
-                yield tuple(v or t for v, t in zip(values, self.target))
-            return
+        assert deviations < m
         geo = self.geo
         slots, full = geo.slots, geo.full
         off_target = self.off_target
@@ -169,15 +170,95 @@ class RescanningSearch:
                 bound = max(
                     row_total + dr, col_total + dc, box_total + db, child_forced.bit_count()
                 )
-                if not dead and deviations + 1 + bound <= m:
-                    yield from self._search(
-                        dev, row_total + dr, col_total + dc, box_total + db
-                    )
+                # digits with exactly one target cell among the doomed cells
+                digits = Counter(self.target[i] for i in range(geo.cells) if doomed >> i & 1)
+                lone = sum(count == 1 for count in digits.values())
+                size = deviations + 1 + bound
+                if size + lone <= m:
+                    if size == m:
+                        if not self._dead(doomed):
+                            yield from self._complete(doomed, child_forced)
+                    elif not dead:
+                        yield from self._search(
+                            dev, row_total + dr, col_total + dc, box_total + db
+                        )
             values[best] = 0
             for slot in cell_slots:
                 used[slot] ^= bit
         for slot in cell_slots:
             t_used[slot] ^= gbit
+
+    def _dead(self, doomed: int) -> bool:
+        """Whether some nogood lies inside `doomed`."""
+        return any(
+            mask & doomed == mask for masks in self.nogoods_of for mask in masks
+        )
+
+    def _complete(self, doomed: int, forced: int) -> Iterator[tuple[int, ...]]:
+        """The grids that differ from the target in exactly `doomed`: the
+        `forced` cells, in index order, take digits ascending that their
+        units lack and whose target cell in each of their units is doomed;
+        every other open cell takes its target digit. Checks every option
+        before the first tick, ticks once per placement, and stops once a
+        nogood added while paused lies inside `doomed`."""
+        geo = self.geo
+        slots, members = geo.slots, geo.members
+        state = self.state
+        values, used = state.values, state.used
+        cells = [i for i in range(geo.cells) if forced >> i & 1]
+        options = []
+        for f in cells:
+            r, c, b = slots[f]
+            free = ~(used[r] | used[c] | used[b]) & geo.full
+            option = 0
+            for w in range(1, geo.n + 1):
+                homes = [
+                    next(i for i in members[slot] if self.target[i] == w)
+                    for slot in slots[f]
+                ]
+                if free >> (w - 1) & 1 and all(doomed >> i & 1 for i in homes):
+                    option |= 1 << (w - 1)
+            if not option:
+                return
+            options.append(option)
+        tick = self.ticker.tick
+        t_used = self.t_used
+
+        def fill(k):
+            if k == len(cells):
+                # the open cells keep their target digits, so what each
+                # slot holds are the target digits of its assigned cells
+                assert used == t_used
+                grid = tuple(v or t for v, t in zip(values, self.target))
+                assert sum(v != t for v, t in zip(grid, self.target)) == self.m
+                yield grid
+                return
+            f = cells[k]
+            r, c, b = slots[f]
+            for w in range(1, geo.n + 1):
+                bit = 1 << (w - 1)
+                if not options[k] & bit or (used[r] | used[c] | used[b]) & bit:
+                    continue
+                tick()
+                values[f] = w
+                tbit = 1 << (self.target[f] - 1)
+                for slot in slots[f]:
+                    used[slot] |= bit
+                    t_used[slot] |= tbit
+                try:
+                    yield from fill(k + 1)
+                finally:
+                    values[f] = 0
+                    for slot in slots[f]:
+                        used[slot] ^= bit
+                        t_used[slot] ^= tbit
+
+        completions = fill(0)
+        for grid in completions:
+            yield grid
+            if self._dead(doomed):
+                break
+        completions.close()
 
 
 def reference_deviating_grid(

@@ -1,4 +1,5 @@
 import random
+import traceback
 from itertools import islice
 from math import inf, nan
 from time import sleep
@@ -26,7 +27,7 @@ from minclue import (
     iter_solutions,
     solve_puzzle,
 )
-from minclue.engine import _Ticker
+from minclue.engine import _DeviationSearch, _Ticker
 from test_grid import recount_units
 
 
@@ -223,6 +224,56 @@ class TestFindDeviatingGrid:
             got = find_deviating_grid(DeviationConstraint(figure_grid, 4), stats=stats)
             sink.append((got.entries, stats.nodes))
         assert a == b
+
+
+class TestExhaustedSubtrees:
+    """Below a node whose deviating and forced cells make the distance,
+    the deviation search fills in only the forced cells."""
+
+    def test_every_grid_of_a_shared_diff(self, grids4, grid4_objects):
+        # grid 0 has a size-12 diff that two other grids share
+        by_diff = {}
+        for board in grids4:
+            diff = oracle.diff_mask(grids4[0], board)
+            if diff.bit_count() == 12:
+                by_diff.setdefault(diff, set()).add(board)
+        shared = [boards for boards in by_diff.values() if len(boards) == 2]
+        assert shared
+        got = list(_DeviationSearch(grid4_objects[0], _Ticker(None)).grids(12))
+        assert len(got) == len(set(got))
+        for boards in shared:
+            assert boards <= set(got)
+
+    def test_each_digit_leaves_as_many_cells_as_it_enters(self, grids4):
+        # and never exactly one: the cell a digit leaves needs the digit
+        # back in its row, column and box, which one other cell cannot give
+        for a in grids4:
+            for b in grids4:
+                if a == b:
+                    continue
+                leaves, enters = [0] * 5, [0] * 5
+                for x, y in zip(a, b):
+                    if x != y:
+                        leaves[x] += 1
+                        enters[y] += 1
+                assert leaves == enters and 1 not in leaves, (a, b)
+
+    def test_node_budget_ending_inside_a_completion(self, figure_grid):
+        # the first size-4 grid costs 358 nodes, the last two of them
+        # placements of forced cells, so a budget of 356 runs out on one
+        constraint = DeviationConstraint(figure_grid, 4)
+        spent = []
+        for _ in range(2):
+            stats = SearchStats()
+            with pytest.raises(SearchInterrupted) as err:
+                find_deviating_grid(constraint, SearchBudget(max_nodes=356), stats)
+            assert err.value.reason == "nodes"
+            assert "_fill" in [frame.name for frame in traceback.extract_tb(err.tb)]
+            spent.append(stats.nodes)
+        assert spent == [357, 357]
+        stats = SearchStats()
+        assert find_deviating_grid(constraint, SearchBudget(max_nodes=358), stats)
+        assert stats.nodes == 358
 
 
 class TestBudgets:

@@ -397,11 +397,11 @@ class TestBudgetedSolve:
         assert result.best_pattern.cardinality() == result.upper_bound
 
     def test_many_seeds_still_give_the_loop_bounds(self, figure_grid):
-        # seeding's half of the nodes stores 49 sets, whose minimum hitting
+        # seeding's half of the nodes stores 50 sets, whose minimum hitting
         # set the branch and bound cannot prove in the other half; solved
         # over the seeds its candidates miss, the family proves lower 12
         result = solve_mscp(
-            figure_grid, MscpConfig(solve_budget=SearchBudget(max_nodes=400_000))
+            figure_grid, MscpConfig(solve_budget=SearchBudget(max_nodes=200_000))
         )
         assert len(result.certificate) >= 49
         assert result.status is MscpStatus.BOUNDS_ONLY
@@ -410,17 +410,17 @@ class TestBudgetedSolve:
         assert result.best_pattern.cardinality() == result.upper_bound
 
     def test_generator_spending_the_budget_keeps_seed_lower_bound(self, figure_grid):
-        # the first four size-4 sets cost 1841, 1933, 1985 and 2058 generator
-        # nodes, so seeding's half of 4,000 nodes ends after three of them;
+        # the first four size-4 sets cost 358, 416, 428 and 456 generator
+        # nodes, so seeding's half of 880 nodes ends after three of them;
         # the loop starts from their packing bound
         limits = GenerationLimits(max_sets=4, max_size=4)
         cfg = MscpConfig(
             initial_cuts=4,
             max_cut_size=4,
-            solve_budget=SearchBudget(max_nodes=4_000),
+            solve_budget=SearchBudget(max_nodes=880),
         )
         result = solve_mscp(figure_grid, cfg)
-        seeded = generate_all(figure_grid, limits, budget=SearchBudget(max_nodes=2_000))
+        seeded = generate_all(figure_grid, limits, budget=SearchBudget(max_nodes=440))
         assert len(seeded) == 3 and not seeded.complete
         assert [r.cells for r in result.certificate.records[:3]] == [
             r.cells for r in seeded.records
